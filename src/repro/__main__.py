@@ -64,6 +64,7 @@ import numpy as np
 
 from . import Session, __version__
 from .errors import ConfigError, CorruptionError
+from .machine.cost_model import PRESETS
 
 
 def _emit(args: argparse.Namespace, data: dict, text: str) -> None:
@@ -896,9 +897,7 @@ def main(argv=None) -> int:
     def add_machine_args(p):
         p.add_argument("-n", type=int, default=8,
                        help="cube dimensions (p = 2^n; default 8)")
-        p.add_argument("--cost-model", default="cm2",
-                       choices=["cm2", "unit", "latency_bound",
-                                "bandwidth_bound"])
+        p.add_argument("--cost-model", default="cm2", choices=list(PRESETS))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON summary")

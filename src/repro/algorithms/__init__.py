@@ -11,7 +11,9 @@ The paper's evaluation targets:
 * :mod:`~repro.algorithms.naive` — the paper's "naive implementation"
   baseline (serialised communication, same algorithm text);
 * :mod:`~repro.algorithms.serial` — best-serial references with operation
-  counts for the optimality audit.
+  counts for the optimality audit;
+* :mod:`~repro.algorithms.lanes` — the hook through which the three
+  applications also run, unchanged, on a batched machine.
 
 Extensions from the same TMC report family, on the same machinery:
 

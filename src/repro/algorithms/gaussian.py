@@ -33,7 +33,9 @@ On top of the factorisation: :func:`solve` (one RHS), :func:`solve_multi`
 
 The functions take any :class:`~repro.core.arrays.DistributedMatrix`
 subclass, so the naive baseline runs the *identical* algorithm text with
-its own primitive implementations.
+its own primitive implementations.  :func:`solve` also runs unchanged on
+a batched machine, one system per lane (partial or no pivoting); the
+per-lane row swap and host immediates go through the :mod:`.lanes` hook.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 from ..machine.counters import CostSnapshot
 from ..core.arrays import DistributedMatrix, iota
 from ..errors import ConfigError, ShapeError
+from .lanes import LaneResult, lanes
 
 PIVOTING_MODES = ("partial", "implicit", "none")
 
@@ -55,7 +58,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 @dataclass
-class GaussianResult:
+class GaussianResult(LaneResult):
     """Solution plus provenance: pivot order and simulated cost."""
 
     x: np.ndarray
@@ -148,6 +151,9 @@ def eliminate(
             f"got {len(pivots)}/{len(pivot_values)}"
         )
     machine = T.machine
+    run = lanes(machine)
+    if pivoting == "implicit":
+        run.needs_one_run("implicit pivoting")
     row_iota = None
     not_pivoted = None  # implicit mode: rows still awaiting their pivot
 
@@ -171,37 +177,39 @@ def eliminate(
             if pivoting == "none":
                 prow = k
                 pval = col.get_global(k)
-                if abs(pval) <= tol:
+                if run.any(abs(pval) <= tol):
                     raise SingularMatrixError(
                         f"zero diagonal at step {k} with pivoting='none'"
                     )
             else:
                 pval, prow = abs(col).argreduce("max", valid=candidates)
-                if prow < 0 or abs(pval) <= tol:
+                if run.any(prow < 0, abs(pval) <= tol):
                     raise SingularMatrixError(
                         f"no pivot above tolerance at elimination step {k}"
                     )
-        pivots.append(int(prow))
+        pivots.append(prow)
 
-        if pivoting == "partial" and prow != k:
-            with machine.phase("row-swap"):
-                rk = T.extract(axis=0, index=k)
-                rp = T.extract(axis=0, index=prow)
-                T = T.insert(axis=0, index=k, vector=rp)
-                T = T.insert(axis=0, index=prow, vector=rk)
+        if pivoting == "partial":
+            swap = prow != k
+            if run.any(swap):
+                with machine.phase("row-swap"), run.only(swap):
+                    rk = run.extract(T, 0, k)
+                    rp = run.extract(T, 0, prow)
+                    T = run.insert(T, 0, k, rp)
+                    T = run.insert(T, 0, prow, rk)
             prow = k
 
         with machine.phase("update"):
             pivot_row = T.extract(axis=0, index=int(prow))
             pivot_val = pivot_row.get_global(k)
-            pivot_values.append(float(pivot_val))
+            pivot_values.append(pivot_val)
             col = T.extract(axis=1, index=k)
             if pivoting == "implicit":
                 below = not_pivoted & ~row_iota.eq(int(prow))
                 not_pivoted = not_pivoted & ~row_iota.eq(int(prow))
             else:
                 below = row_iota > k
-            mults = below.where(col / pivot_val, 0.0)
+            mults = below.where(col / run.imm(pivot_val), 0.0)
             T = T.sub_outer(mults, pivot_row)
             # The eliminated column is exactly zero in those rows in real
             # arithmetic; enforce it so round-off cannot leak into later
@@ -239,7 +247,8 @@ def back_substitute(
             "expected an n x (n+k) tableau"
         )
     machine = T.machine
-    x = np.zeros(n)
+    run = lanes(machine)
+    x = np.zeros(run.lead + (n,))
     with machine.phase("back-substitution"):
         rhs = T.extract(axis=1, index=rhs_col)
         row_iota = iota(rhs.embedding)
@@ -247,16 +256,16 @@ def back_substitute(
         for k in range(n - 1, -1, -1):
             r = elim.row_of_step(k)
             diag = T.get_global(r, k)
-            if abs(diag) <= tol:
+            if run.any(abs(diag) <= tol):
                 raise SingularMatrixError(
                     f"zero diagonal at back-substitution step {k}"
                 )
             xk = rhs.get_global(r) / diag
-            x[k] = xk
+            x[..., k] = xk
             pending = pending & ~row_iota.eq(r)
             if k:
                 colk = T.extract(axis=1, index=k)
-                rhs = rhs - pending.where(colk, 0.0) * xk
+                rhs = rhs - pending.where(colk, 0.0) * run.imm(xk)
     return x
 
 
@@ -270,20 +279,23 @@ def solve(
     """Solve ``A x = b`` for a distributed square ``A`` and host ``b``.
 
     Builds the augmented ``[A | b]`` tableau in a fresh aspect-matched
-    embedding, then forward elimination + back substitution.
+    embedding, then forward elimination + back substitution.  On a batched
+    machine ``b`` has shape ``(n_runs, n)`` and so have the result's ``x``
+    and ``pivots``; its cost holds one value per lane.
     """
     n, n2 = A.shape
     if n != n2:
         raise ShapeError(f"A must be square, got {A.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
     machine = A.machine
+    run = lanes(machine)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != run.lead + (n,):
+        raise ShapeError(f"b must have shape {run.lead + (n,)}, got {b.shape}")
 
     # Augment on the host: assembling [A | b] is front-end set-up, the same
     # untimed load the paper's timings exclude.
-    host_T = np.hstack([A.to_numpy(), b[:, None]])
-    T = type(A).from_numpy(machine, host_T)
+    host_T = np.concatenate([run.to_host(A), b[..., None]], axis=-1)
+    T = run.matrix(type(A), host_T)
 
     start = machine.snapshot()
     with machine.phase("gaussian"):
@@ -291,7 +303,7 @@ def solve(
         x = back_substitute(elim, tol=tol)
     return GaussianResult(
         x=x,
-        pivots=elim.pivots,
+        pivots=run.by_run(elim.pivots),
         cost=machine.elapsed_since(start),
         tableau=elim.tableau if keep_tableau else None,
     )

@@ -8,7 +8,8 @@ primitives off.
 
 These functions accept either a :class:`~repro.core.arrays.DistributedMatrix`
 or the naive-baseline subclass; the algorithm text is identical, only the
-primitive implementations differ.
+primitive implementations differ.  Every step is uniform across lanes, so
+they also run unchanged on a batched machine.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ class MatvecResult:
 
     y: DistributedVector
     cost: CostSnapshot
+
+    def lane_cost(self, k: int) -> CostSnapshot:
+        """Lane ``k``'s cost of a batched product."""
+        return self.cost.lane(k)
 
 
 def matvec(A: DistributedMatrix, x: DistributedVector) -> MatvecResult:

@@ -23,6 +23,10 @@ comes from.
 Rows with ``b_i < 0`` are sign-flipped and given artificial variables;
 phase I maximises minus their sum (carrying the phase II objective row in
 the tableau so it stays canonical for free).
+
+:func:`solve` also runs unchanged on a batched machine, one LP per lane
+(``b >= 0``, so no lane needs phase I): lanes stop independently, and
+each lane's pivot row and column go through the :mod:`.lanes` hook.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
 from ..core.arrays import DistributedMatrix, DistributedVector, iota
 from ..errors import ConfigError, ShapeError
+from .lanes import LaneResult, OneRun, lanes
 
 Status = str  # 'optimal' | 'unbounded' | 'infeasible' | 'iteration_limit'
 
 
 @dataclass
-class SimplexResult:
+class SimplexResult(LaneResult):
     """Solution, provenance and simulated cost of one LP solve."""
 
     status: Status
@@ -70,6 +75,7 @@ class _Tableau:
     n_slack: int
     n_art: int
     basis: List[int]  # column index basic in each constraint row
+    lanes: OneRun     # the divergence hook (one run, or one per lane)
 
     @property
     def width(self) -> int:
@@ -96,31 +102,36 @@ def _build_tableau(
     matrix_cls: Type[DistributedMatrix],
 ) -> _Tableau:
     """Assemble the host tableau and embed it (front-end set-up, untimed)."""
+    run = lanes(machine)
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
+    m, n = A.shape[-2:]
+    if A.shape != run.lead + (m, n) or b.shape != run.lead + (m,) or (
+        c.shape != run.lead + (n,)
+    ):
         raise ShapeError(
             f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}"
         )
 
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
+    A = np.where(flip[..., None], -A, A)
     slack_sign = np.where(flip, -1.0, 1.0)
     b = np.abs(b)
     art_rows = np.nonzero(flip)[0]
     n_art = len(art_rows)
+    if n_art:
+        run.needs_one_run("an LP with b < 0 (phase I)")
 
     n_obj_rows = 2 if n_art else 1
     width = n + m + n_art + 1
-    T = np.zeros((m + n_obj_rows, width))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.diag(slack_sign)
-    T[:m, -1] = b
-    T[m, :n] = -c  # phase II objective (z-row): maximise c·x
+    T = np.zeros(run.lead + (m + n_obj_rows, width))
+    T[..., :m, :n] = A
+    T[..., np.arange(m), n + np.arange(m)] = slack_sign
+    T[..., :m, -1] = b
+    T[..., m, :n] = -c  # phase II objective (z-row): maximise c·x
 
-    basis = [n + i for i in range(m)]
+    basis = run.runs(list, range(n, n + m))
     for k, i in enumerate(art_rows):
         col = n + m + k
         T[i, col] = 1.0
@@ -132,12 +143,13 @@ def _build_tableau(
         T[m + 1, n + m : n + m + n_art] = 0.0
 
     return _Tableau(
-        T=matrix_cls.from_numpy(machine, T),
+        T=run.matrix(matrix_cls, T),
         m=m,
         n=n,
         n_slack=m,
         n_art=n_art,
         basis=basis,
+        lanes=run,
     )
 
 
@@ -148,21 +160,22 @@ def _pivot(
     row_iota: DistributedVector,
 ) -> None:
     """One pivot on (row r, column j), updating every tableau row."""
+    run = tab.lanes
     T = tab.T
-    prow = T.extract(axis=0, index=r)
-    pval = prow.get_global(j)
-    prow = prow * (1.0 / pval)
-    T = T.insert(axis=0, index=r, vector=prow)
-    col = T.extract(axis=1, index=j)
-    not_r = ~row_iota.eq(r)
+    prow = run.extract(T, 0, r)
+    pval = run.get(prow, j)
+    prow = prow * run.imm(1.0 / pval)
+    T = run.insert(T, 0, r, prow)
+    col = run.extract(T, 1, j)
+    not_r = ~row_iota.eq(run.imm(r))
     mcol = not_r.where(col, 0.0)
-    T = T.sub_outer(mcol, prow)
+    T = run.merge(T.sub_outer(mcol, prow), T)
     # Basic columns are exactly unit vectors in real arithmetic; pin the
     # pivot column so round-off never accumulates in later reduced costs.
-    unit = row_iota.eq(r).where(1.0, 0.0)
-    T = T.insert(axis=1, index=j, vector=unit)
+    unit = row_iota.eq(run.imm(r)).where(1.0, 0.0)
+    T = run.insert(T, 1, j, unit)
     tab.T = T
-    tab.basis[r] = j
+    run.assign(tab.basis, r, j)
 
 
 def _run_phase(
@@ -174,14 +187,15 @@ def _run_phase(
     max_iters: int,
     pivots: List[Tuple[int, int]],
 ) -> Tuple[Status, int]:
-    """Pivot until the given objective row is optimal."""
+    """Pivot until the given objective row is optimal (in every lane)."""
     machine = tab.T.machine
+    run = tab.lanes
     col_iota = None
     row_iota = None
     n_real = tab.n + tab.n_slack
 
     for it in range(max_iters):
-        with machine.phase("entering"):
+        with machine.phase("entering"), run.only():
             obj = tab.T.extract(axis=0, index=obj_row)
             if col_iota is None:
                 col_iota = iota(obj.embedding)
@@ -192,11 +206,11 @@ def _run_phase(
                 _, j = obj.argreduce("min", valid=eligible)
             else:  # bland: smallest eligible index
                 _, j = col_iota.argreduce("min", valid=eligible)
-        if j < 0:
-            return "optimal", it
+        if run.stop(j < 0, "optimal", it):
+            return run.outcome
 
-        with machine.phase("ratio-test"):
-            col = tab.T.extract(axis=1, index=j)
+        with machine.phase("ratio-test"), run.only():
+            col = run.extract(tab.T, 1, j)
             if row_iota is None:
                 row_iota = iota(col.embedding)
             rhs = tab.T.extract(axis=1, index=tab.rhs_col)
@@ -205,13 +219,14 @@ def _run_phase(
             safe = pos.where(col, 1.0)
             ratios = pos.where(rhs / safe, np.inf)
             _, r = ratios.argreduce("min", valid=pos)
-        if r < 0:
-            return "unbounded", it
+        if run.stop(r < 0, "unbounded", it):
+            return run.outcome
 
-        with machine.phase("pivot"):
-            _pivot(tab, int(r), int(j), row_iota)
-        pivots.append((int(r), int(j)))
-    return "iteration_limit", max_iters
+        with machine.phase("pivot"), run.only():
+            _pivot(tab, r, j, row_iota)
+        run.record(pivots, (r, j))
+    run.stop(True, "iteration_limit", max_iters)
+    return run.outcome
 
 
 def _drive_out_artificials(
@@ -275,7 +290,7 @@ def solve(
     if max_iters is None:
         max_iters = 50 * (tab.m + tab.n)
 
-    pivots: List[Tuple[int, int]] = []
+    pivots: List[Tuple[int, int]] = tab.lanes.runs(list)
     start = machine.snapshot()
     phase1_iters = 0
 
@@ -316,18 +331,25 @@ def solve(
         )
 
     cost = machine.elapsed_since(start)
-    iterations = phase1_iters + phase2_iters
+    run = tab.lanes
+    # Read the solutions off the final tableau (front-end output, untimed);
+    # an unbounded run has none to read.
+    host = run.to_host(tab.T) if run.any(status != "unbounded") else None
+    return run.each(
+        _result, tab, host, tab.basis, status, phase1_iters + phase2_iters,
+        phase1_iters, pivots, cost,
+    )
 
+
+def _result(tab, host, basis, status, iterations, phase1_iters, pivots, cost):
+    """One run's result, read off its final host tableau (if bounded)."""
     if status == "unbounded":
         return SimplexResult(
             "unbounded", np.inf, np.zeros(tab.n), iterations,
-            phase1_iters, tab.basis, pivots, cost,
+            phase1_iters, basis, pivots, cost,
         )
-
-    # Read the solution off the final tableau (front-end output, untimed).
-    host = tab.T.to_numpy()
     x_full = np.zeros(tab.width - 1)
-    for r, col in enumerate(tab.basis):
+    for r, col in enumerate(basis):
         x_full[col] = host[r, tab.rhs_col]
     objective = float(host[tab.z_row, tab.rhs_col])
     # Duals: z-row coefficients of the slack columns.  For rows phase I
@@ -341,7 +363,7 @@ def solve(
         x=x_full[: tab.n].copy(),
         iterations=iterations,
         phase1_iterations=phase1_iters,
-        basis=list(tab.basis),
+        basis=list(basis),
         pivots=pivots,
         cost=cost,
         duals=duals,

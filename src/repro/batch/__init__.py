@@ -21,26 +21,26 @@ Entry points:
 * :func:`sweep` — run a parameter grid, stacking compatible
   configurations into batched sessions and falling back to scalar
   sessions (or :func:`repro.faults.run_resilient`) for the rest.
-* :mod:`repro.batch.algorithms` — batched ports of Gaussian
-  elimination, the (artificial-free) simplex method and matvec.
 
-Lanes diverge in control flow (pivot choices, termination) through
-*lane-masked execution*: :meth:`BatchHypercube.lanes` restricts charging
-to a boolean lane mask, and :mod:`repro.batch.lanewise` provides
-per-lane extract/insert/read primitives whose charge sequences match the
-scalar primitives exactly.
+There are no batched copies of the applications: Gaussian elimination,
+the simplex method and matvec (:mod:`repro.algorithms`) run unchanged on
+a :class:`BatchHypercube`, one problem per lane.  Lanes diverge in
+control flow (pivot choices, termination) through *lane-masked
+execution*: :meth:`BatchHypercube.lanes` restricts charging to a boolean
+lane mask, and :mod:`repro.batch.lanewise` provides per-lane
+extract/insert/read primitives whose charge sequences match the scalar
+primitives exactly, plus the :class:`~repro.batch.lanewise.Lanes` hook
+through which the applications reach them.
 """
 
 from .counters import LaneCounters
 from .machine import BatchHypercube
 from .session import BatchSession
 from .sweep import sweep
-from . import algorithms
 
 __all__ = [
     "BatchHypercube",
     "BatchSession",
     "LaneCounters",
-    "algorithms",
     "sweep",
 ]

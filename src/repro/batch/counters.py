@@ -28,8 +28,7 @@ class LaneCounters(Counters):
     ``active`` is the current lane mask (``None`` = all lanes), managed
     by :meth:`BatchHypercube.lanes`.  ``snapshot()`` returns a
     :class:`CostSnapshot` of vector copies (its elementwise ``__sub__``
-    works unchanged); :meth:`lane_snapshot` gives one lane's totals as an
-    ordinary scalar snapshot for comparison against a scalar run.
+    works unchanged; its ``lane(k)`` is one lane's scalar snapshot).
     """
 
     def __init__(self, n_runs: int) -> None:
@@ -101,16 +100,6 @@ class LaneCounters(Counters):
             elements_transferred=self.elements_transferred.copy(),
             comm_rounds=self.comm_rounds.copy(),
             local_moves=self.local_moves.copy(),
-        )
-
-    def lane_snapshot(self, lane: int) -> CostSnapshot:
-        """One lane's totals as an ordinary scalar snapshot."""
-        return CostSnapshot(
-            time=float(self.time[lane]),
-            flops=float(self.flops[lane]),
-            elements_transferred=float(self.elements_transferred[lane]),
-            comm_rounds=int(self.comm_rounds[lane]),
-            local_moves=float(self.local_moves[lane]),
         )
 
     def lane_phase_times(self, lane: int) -> dict:

@@ -17,19 +17,28 @@ single-element bus transfer.  Each helper below replays exactly that.
 Inactive lanes: indices are clamped to 0 so the stacked computation stays
 in bounds; their data is either never written (:func:`lane_insert` masks
 writes by the active mask) or restored by :func:`merge_lanes`.
+
+:class:`Lanes` is the batched side of the application divergence hook
+(:func:`repro.algorithms.lanes.lanes`): it routes an application's
+lane-divergent steps through these helpers under its live-lane mask.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from typing import Optional
 
 import numpy as np
 
+from ..algorithms.lanes import lane_of
 from ..comm.collectives import subcube_base
 from ..core.arrays import DistributedMatrix, DistributedVector
 from ..core.primitives import _aligned_embedding
+from ..embeddings.matrix import MatrixEmbedding
 from ..errors import ConfigError, ShapeError
-from ..machine.pvar import PVar
+from ..machine.counters import CostSnapshot
+from ..machine.pvar import LaneValues, PVar
 
 
 def _lane_indices(machine, index, extent: int, act: Optional[np.ndarray]):
@@ -249,3 +258,102 @@ def merge_lanes(new, old, act: np.ndarray):
     )
     data = np.where(mask, new.pvar.data, old.pvar.data)
     return type(new)(PVar(machine, data), new.embedding)
+
+
+class Lanes:
+    """The divergence hook on a batched machine: one lane per run.
+
+    ``live`` marks the lanes still running; a stopped lane charges nothing
+    and keeps its data.  Host bookkeeping holds one value per lane.
+    """
+
+    def __init__(self, machine) -> None:
+        self.machine = machine
+        self.n_runs = machine.n_runs
+        self.lead = (self.n_runs,)
+        self.live = np.ones(self.n_runs, dtype=bool)
+        # Per-lane (status, iterations), filled in as lanes stop.
+        self.outcome = (np.full(self.n_runs, None, dtype=object),
+                        np.full(self.n_runs, None, dtype=object))
+
+    def needs_one_run(self, what: str) -> None:
+        raise ConfigError(f"{what} needs a scalar machine; repro.batch.sweep "
+                          "routes such configurations to scalar sessions")
+
+    def runs(self, make, *args):
+        return [make(*args) for _ in range(self.n_runs)]
+
+    def any(self, *flags) -> bool:
+        return bool(np.any(np.logical_or.reduce(flags)))
+
+    def imm(self, value):
+        return LaneValues(value)
+
+    def by_run(self, history: list):
+        steps = [np.broadcast_to(step, self.lead) for step in history]
+        return np.stack(steps, axis=-1).tolist()
+
+    @contextlib.contextmanager
+    def only(self, mask=None):
+        prev = self.live
+        if mask is not None:
+            self.live = prev & mask
+        try:
+            with self.machine.lanes(self.live):
+                yield
+        finally:
+            self.live = prev
+
+    def _index(self, index) -> np.ndarray:
+        return np.broadcast_to(index, self.lead)
+
+    def extract(self, M, axis: int, index):
+        return lane_extract(M, axis, self._index(index), act=self.live)
+
+    def insert(self, M, axis: int, index, vector):
+        return lane_insert(M, axis, self._index(index), vector, act=self.live)
+
+    def get(self, vector, index):
+        values = lane_get_global(vector, self._index(index), act=self.live)
+        # Stopped lanes read 1.0, a safe divisor for their discarded data.
+        return np.where(self.live, values, 1.0)
+
+    def merge(self, new, old):
+        return merge_lanes(new, old, self.live)
+
+    def assign(self, seq: list, index, value) -> None:
+        for k in np.flatnonzero(self.live):
+            seq[k][index[k]] = int(value[k])
+
+    def record(self, history: list, item: tuple) -> None:
+        for k in np.flatnonzero(self.live):
+            history[k].append(tuple(int(v[k]) for v in item))
+
+    def stop(self, done, status: str, it: int) -> bool:
+        now = self.live & done
+        self.outcome[0][now] = status
+        self.outcome[1][now] = it
+        self.live = self.live & ~now
+        return not self.live.any()
+
+    def to_host(self, array) -> np.ndarray:
+        return np.ascontiguousarray(np.moveaxis(array.to_numpy(), -1, 0))
+
+    def matrix(self, cls, host: np.ndarray):
+        emb = MatrixEmbedding.default(self.machine, *host.shape[1:])
+        return cls(emb.scatter(np.moveaxis(host, 0, -1)), emb)
+
+    def each(self, fn, *args):
+        runs = [
+            fn(*(lane_of(arg, k) for arg in args)) for k in range(self.n_runs)
+        ]
+        fields = {}
+        for f in dataclasses.fields(runs[0]):
+            values = [getattr(run, f.name) for run in runs]
+            if isinstance(values[0], CostSnapshot):
+                values = CostSnapshot(**{
+                    name: np.array([getattr(v, name) for v in values])
+                    for name in values[0].as_dict()
+                })
+            fields[f.name] = values
+        return type(runs[0])(**fields)

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from ..machine.cost_model import CostModel
+from ..machine.cost_model import CostModel, resolve_cost_model
 from ..machine.counters import CostSnapshot
 from ..core.arrays import DistributedMatrix, DistributedVector
 from ..embeddings.matrix import MatrixEmbedding
@@ -36,18 +36,6 @@ from ..embeddings.vector import (
     VectorOrderEmbedding,
 )
 from .machine import BatchHypercube
-
-
-def _resolve_cost_model(cost_model):
-    if isinstance(cost_model, str):
-        try:
-            return getattr(CostModel, cost_model)()
-        except AttributeError:
-            raise ConfigError(
-                f"unknown cost model preset {cost_model!r}; "
-                "try 'cm2', 'unit', 'latency_bound' or 'bandwidth_bound'"
-            ) from None
-    return cost_model
 
 
 class BatchSession:
@@ -80,7 +68,7 @@ class BatchSession:
         self.machine = BatchHypercube(
             n_dims,
             n_runs,
-            _resolve_cost_model(cost_model),
+            resolve_cost_model(cost_model),
             plan_cache=plan_cache,
         )
 
@@ -158,7 +146,7 @@ class BatchSession:
 
     def lane_snapshot(self, lane: int) -> CostSnapshot:
         """One lane's totals as an ordinary scalar snapshot."""
-        return self.machine.counters.lane_snapshot(lane)
+        return self.machine.snapshot().lane(lane)
 
     def reset_counters(self) -> None:
         self.machine.counters.reset()
@@ -166,7 +154,7 @@ class BatchSession:
     def lane_report(self, lane: int) -> str:
         """Human-readable accounting summary for one lane."""
         c = self.machine.counters
-        snap = c.lane_snapshot(lane)
+        snap = c.snapshot().lane(lane)
         lines = [
             f"simulated machine : p={self.machine.p} (n={self.machine.n}), "
             f"lane {lane}/{self.n_runs}, cost model {self.machine.cost_model}",

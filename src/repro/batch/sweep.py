@@ -33,9 +33,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..algorithms.lanes import lane_of, lanes
 from ..errors import ConfigError
 from .session import BatchSession
-from . import algorithms as batch_algorithms
 
 WORKLOADS = ("gaussian", "simplex", "matvec")
 
@@ -114,54 +114,19 @@ def _run_batched(workload: str, entries: List[dict]) -> None:
         key: np.stack([e["data"][key] for e in entries])
         for key in entries[0]["data"]
     }
-    tol = params0.get("tol")
-    if workload == "gaussian":
-        kwargs = {"pivoting": params0.get("pivoting", "partial")}
-        if tol is not None:
-            kwargs["tol"] = tol
-        res = batch_algorithms.gaussian_solve(
-            session, stack["A"], stack["b"], **kwargs
-        )
-        for lane, entry in enumerate(entries):
-            entry["out"] = {
-                "x": res.x[lane].copy(),
-                "pivots": [int(v) for v in res.pivots[lane]],
-                "time": float(res.cost.time[lane]),
-                "cost": res.lane(lane).cost,
-            }
-    elif workload == "simplex":
-        kwargs = {"rule": params0.get("rule", "dantzig")}
-        if tol is not None:
-            kwargs["tol"] = tol
-        res = batch_algorithms.simplex_solve(
-            session, stack["A"], stack["b"], stack["c"], **kwargs
-        )
-        for lane, entry in enumerate(entries):
-            lane_res = res.lane(lane)
-            entry["out"] = {
-                "status": lane_res.status,
-                "objective": lane_res.objective,
-                "x": lane_res.x,
-                "iterations": lane_res.iterations,
-                "time": lane_res.cost.time,
-                "cost": lane_res.cost,
-            }
-    else:  # matvec
-        res = batch_algorithms.matvec(session, stack["A"], stack["x"])
-        for lane, entry in enumerate(entries):
-            entry["out"] = {
-                "y": res.y[lane].copy(),
-                "time": float(res.cost.time[lane]),
-                "cost": res.lane_cost(lane),
-            }
+    out = _workload(workload, params0, stack)(session)
     for lane, entry in enumerate(entries):
-        entry["out"]["batched"] = True
-        entry["out"]["n_lanes"] = len(entries)
-        entry["out"]["lane"] = lane
+        entry["out"] = dict(
+            lane_of(out, lane), batched=True, n_lanes=len(entries), lane=lane
+        )
 
 
-def _scalar_workload(workload: str, params: Dict, data: Dict):
-    """A ``run_resilient``-shaped closure executing one scalar config."""
+def _workload(workload: str, params: Dict, data: Dict):
+    """A ``run_resilient``-shaped closure executing one config.
+
+    On a :class:`BatchSession` it executes a stacked group: ``data`` then
+    leads with the run axis, and so does every per-run output.
+    """
     tol = params.get("tol")
 
     def body(session, store=None):
@@ -202,7 +167,7 @@ def _scalar_workload(workload: str, params: Dict, data: Dict):
         xv = session.row_vector(data["x"], like=M)
         res = mv.matvec(M, xv)
         return {
-            "y": res.y.to_numpy(),
+            "y": lanes(session.machine).to_host(res.y),
             "time": res.cost.time,
             "cost": res.cost,
         }
@@ -223,7 +188,7 @@ def _run_scalar(workload: str, entry: dict) -> None:
         sanitize=params.get("sanitize"),
         abft=params.get("abft"),
     )
-    body = _scalar_workload(workload, params, entry["data"])
+    body = _workload(workload, params, entry["data"])
     if params.get("faults") is not None:
         from ..faults.recovery import run_resilient
 

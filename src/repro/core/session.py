@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ConfigError
-from ..machine.cost_model import CostModel
+from ..machine.cost_model import CostModel, resolve_cost_model
 from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
 from ..obs.tracer import Tracer, env_enabled as trace_env_enabled
@@ -53,14 +53,7 @@ class Session:
         retry: Optional[object] = None,
         checkpoint: Optional[object] = None,
     ) -> None:
-        if isinstance(cost_model, str):
-            try:
-                cost_model = getattr(CostModel, cost_model)()
-            except AttributeError:
-                raise ConfigError(
-                    f"unknown cost model preset {cost_model!r}; "
-                    "try 'cm2', 'unit', 'latency_bound' or 'bandwidth_bound'"
-                ) from None
+        cost_model = resolve_cost_model(cost_model)
         self.machine = Hypercube(n_dims, cost_model, plan_cache=plan_cache)
         # trace=None defers to the REPRO_TRACE environment variable;
         # trace may also be a pre-built Tracer to share across sessions.

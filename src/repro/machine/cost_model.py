@@ -97,3 +97,19 @@ class CostModel:
     def memory(self, elements: float) -> float:
         """Time of one local move/pack pass over ``elements`` items."""
         return self.t_m * elements
+
+
+#: The names a cost model may be given by (sessions, sweeps, the CLI).
+PRESETS = ("cm2", "unit", "latency_bound", "bandwidth_bound")
+
+
+def resolve_cost_model(cost_model):
+    """A :class:`CostModel` from an instance, a preset name, or ``None``."""
+    if not isinstance(cost_model, str):
+        return cost_model
+    if cost_model not in PRESETS:
+        raise ConfigError(
+            f"unknown cost model preset {cost_model!r}; try one of "
+            + ", ".join(repr(name) for name in PRESETS)
+        )
+    return getattr(CostModel, cost_model)()

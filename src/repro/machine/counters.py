@@ -35,6 +35,16 @@ class CostSnapshot:
             local_moves=self.local_moves - other.local_moves,
         )
 
+    def lane(self, k: int) -> "CostSnapshot":
+        """Lane ``k`` of a batched (vector-valued) snapshot as a scalar one."""
+        return CostSnapshot(
+            time=float(self.time[k]),
+            flops=float(self.flops[k]),
+            elements_transferred=float(self.elements_transferred[k]),
+            comm_rounds=int(self.comm_rounds[k]),
+            local_moves=float(self.local_moves[k]),
+        )
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "time": self.time,

@@ -16,6 +16,7 @@ runs scalar and cannot perturb the batched lanes).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -27,7 +28,6 @@ import pytest
 from repro import Session
 from repro.algorithms import gaussian, matvec as mv, simplex
 from repro.batch import BatchSession, sweep
-from repro.batch import algorithms as batch_algorithms
 from repro.batch.sweep import make_problem
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
@@ -44,21 +44,40 @@ def _snap_dict(snapshot):
 # -- lane bit-identity (in-process, across seeds) -----------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_gaussian_lanes_match_scalar_runs(seed):
-    n_runs, n_dims = 5, 4
-    grid = [{"n_dims": n_dims, "n": 9, "seed": seed + k} for k in range(n_runs)]
+@pytest.mark.parametrize(
+    "seed, pivoting, dominant",
+    [
+        pytest.param(0, "partial", True, id="0"),
+        pytest.param(1, "partial", True, id="1"),
+        pytest.param(7, "partial", True, id="7"),
+        pytest.param(11, "partial", False, id="nondominant-partial"),
+        pytest.param(11, "none", False, id="nondominant-none"),
+    ],
+)
+def test_gaussian_lanes_match_scalar_runs(seed, pivoting, dominant):
+    n_runs, n_dims, n = 5, 4, 9
+    grid = [{"n_dims": n_dims, "n": n, "seed": seed + k}
+            for k in range(n_runs)]
+    if not dominant:
+        # make_problem's systems are diagonally dominant and never swap;
+        # plain Gaussian matrices make partial pivoting swap per lane.
+        for g in grid:
+            rng = np.random.default_rng(g["seed"])
+            g["A"] = rng.standard_normal((n, n))
+            g["b"] = rng.standard_normal(n)
     datas = [make_problem("gaussian", g) for g in grid]
 
     session = BatchSession(n_dims, n_runs=n_runs)
-    res = batch_algorithms.gaussian_solve(
-        session,
-        np.stack([d["A"] for d in datas]),
+    res = gaussian.solve(
+        session.matrix(np.stack([d["A"] for d in datas])),
         np.stack([d["b"] for d in datas]),
+        pivoting=pivoting,
     )
     for lane, data in enumerate(datas):
         scalar = Session(n_dims)
-        want = gaussian.solve(scalar.matrix(data["A"]), data["b"])
+        want = gaussian.solve(
+            scalar.matrix(data["A"]), data["b"], pivoting=pivoting
+        )
         assert np.array_equal(res.x[lane], want.x)
         assert np.array_equal(res.pivots[lane], want.pivots)
         assert float(res.cost.time[lane]) == want.cost.time
@@ -66,27 +85,48 @@ def test_gaussian_lanes_match_scalar_runs(seed):
         assert _snap_dict(session.lane_snapshot(lane)) == _snap_dict(
             scalar.snapshot()
         )
+    if pivoting == "partial" and not dominant:
+        swapped = np.array(res.pivots) != np.arange(n)  # (lane, step)
+        assert any(0 < count < n_runs for count in swapped.sum(axis=0))
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_simplex_lanes_match_scalar_runs(seed):
+@pytest.mark.parametrize(
+    "seed, rule, unbounded",
+    [
+        pytest.param(0, "dantzig", False, id="0"),
+        pytest.param(3, "dantzig", False, id="3"),
+        pytest.param(0, "bland", False, id="bland"),
+        pytest.param(0, "dantzig", True, id="unbounded"),
+        pytest.param(0, "bland", True, id="unbounded-bland"),
+    ],
+)
+def test_simplex_lanes_match_scalar_runs(seed, rule, unbounded):
     n_runs, n_dims = 4, 4
     grid = [
         {"n_dims": n_dims, "n": 8, "m": 5, "seed": seed + k}
         for k in range(n_runs)
     ]
+    if unbounded:
+        # Lane 2's variable 0 has a positive cost and only negative
+        # constraint coefficients: that LP is unbounded, the others are not.
+        lp = make_problem("simplex", grid[2])
+        lp["A"][:, 0] = -lp["A"][:, 0]
+        grid[2].update(lp)
     datas = [make_problem("simplex", g) for g in grid]
 
     session = BatchSession(n_dims, n_runs=n_runs)
-    res = batch_algorithms.simplex_solve(
-        session,
+    res = simplex.solve(
+        session.machine,
         np.stack([d["A"] for d in datas]),
         np.stack([d["b"] for d in datas]),
         np.stack([d["c"] for d in datas]),
+        rule=rule,
     )
     for lane, data in enumerate(datas):
         scalar = Session(n_dims)
-        want = simplex.solve(scalar.machine, data["A"], data["b"], data["c"])
+        want = simplex.solve(
+            scalar.machine, data["A"], data["b"], data["c"], rule=rule
+        )
         got = res.lane(lane)
         assert got.status == want.status
         assert got.iterations == want.iterations
@@ -94,6 +134,12 @@ def test_simplex_lanes_match_scalar_runs(seed):
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(res.basis[lane], want.basis)
         assert _snap_dict(got.cost) == _snap_dict(want.cost)
+        assert got.pivots == want.pivots
+        assert _snap_dict(session.lane_snapshot(lane)) == _snap_dict(
+            scalar.snapshot()
+        )
+    if unbounded:
+        assert sorted(set(res.status)) == ["optimal", "unbounded"]
 
 
 def test_matvec_lanes_match_scalar_runs():
@@ -102,11 +148,10 @@ def test_matvec_lanes_match_scalar_runs():
     datas = [make_problem("matvec", g) for g in grid]
 
     session = BatchSession(n_dims, n_runs=n_runs)
-    res = batch_algorithms.matvec(
-        session,
-        np.stack([d["A"] for d in datas]),
-        np.stack([d["x"] for d in datas]),
-    )
+    M = session.matrix(np.stack([d["A"] for d in datas]))
+    xv = session.row_vector(np.stack([d["x"] for d in datas]), like=M)
+    out = mv.matvec(M, xv)
+    res = dataclasses.replace(out, y=session.to_host(out.y))
     for lane, data in enumerate(datas):
         scalar = Session(n_dims)
         M = scalar.matrix(data["A"])
@@ -157,9 +202,8 @@ def test_gaussian_lane_matches_fresh_interpreter():
     grid = [{"n_dims": n_dims, "n": 9, "seed": k} for k in range(n_runs)]
     datas = [make_problem("gaussian", g) for g in grid]
     session = BatchSession(n_dims, n_runs=n_runs)
-    res = batch_algorithms.gaussian_solve(
-        session,
-        np.stack([d["A"] for d in datas]),
+    res = gaussian.solve(
+        session.matrix(np.stack([d["A"] for d in datas])),
         np.stack([d["b"] for d in datas]),
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Session
+from repro.errors import ConfigError
 from repro.machine import CostModel
 
 
@@ -18,8 +19,14 @@ class TestConstruction:
         assert Session(2, "latency_bound").machine.cost_model.tau == 5000.0
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown cost model"):
-            Session(3, "warp-speed")
+        from repro.batch import BatchSession
+
+        # Class attributes of CostModel that are not presets must not resolve.
+        for name in ("warp-speed", "mro", "comm_round", "__post_init__"):
+            with pytest.raises(ValueError, match="unknown cost model"):
+                Session(3, name)
+            with pytest.raises(ConfigError, match="unknown cost model"):
+                BatchSession(3, n_runs=2, cost_model=name)
 
     def test_explicit_model(self):
         cm = CostModel(tau=7, t_c=1, t_a=1, t_m=1)
