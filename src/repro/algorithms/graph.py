@@ -30,7 +30,7 @@ merely importing :mod:`repro.algorithms` keeps dense runs sparse-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Any, Callable
 
 import numpy as np
 
@@ -59,16 +59,15 @@ def _check_source(graph: GraphInstance, source: int) -> None:
         )
 
 
-def _any_flag(machine, embedding, blocks: List[np.ndarray]) -> bool:
-    """Global "any rank has a truthy block" — charged like the solvers.
+def _any_flag(machine, embedding, values: np.ndarray) -> bool:
+    """Global "any rank holds a truthy entry" — charged like the solvers.
 
     One local reduction pass per rank (lockstep, max segment volume), a
     ``lg p``-round Boolean all-reduce, and one front-end scalar read.
     """
     flags = np.zeros(machine.p, dtype=bool)
-    for r, blk in enumerate(blocks):
-        if blk.size and bool(blk.any()):
-            flags[int(embedding.pid_of_rank(r))] = True
+    ranks = embedding.rank_of(np.flatnonzero(values))
+    flags[embedding.pid_of_rank(ranks)] = True
     machine.charge_flops(embedding.max_count)
     out = reduce_all(machine, machine.pvar(flags), "any")
     return bool(machine.read_scalar(out))
@@ -112,7 +111,7 @@ def bfs(session: Any, graph: GraphInstance, source: int) -> GraphResult:
             )
             iterations += 1
             depth += 1
-            if not _any_flag(machine, emb, new.blocks):
+            if not _any_flag(machine, emb, new.values):
                 break
             levels = levels.elementwise(
                 new,
@@ -152,9 +151,7 @@ def _min_plus_fixpoint(
             new = state.elementwise(cand, np.minimum, fill=INT_INF)
             iterations += 1
             machine.charge_flops(emb.max_count)  # the != comparison pass
-            changed = [
-                a != b for a, b in zip(new.blocks, state.blocks)
-            ]
+            changed = new.values != state.values
             state = new
             if not _any_flag(machine, emb, changed):
                 break

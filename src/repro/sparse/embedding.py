@@ -52,8 +52,11 @@ class SparseEmbedding:
         self.machine = machine
         self.N = N
         self.starts = readonly(starts)
-        # rank r lives on pid gray(r); per-pid rank = gray_rank(pid)
-        self._rank_of_pid = gray_rank(machine.pids())
+        #: Indices owned per rank (length ``p``).
+        self.counts = readonly(np.diff(starts))
+        #: The largest per-rank index count (the SIMD pass volume).
+        self.max_count = int(self.counts.max())
+        self._signature = ("sparse", N, tuple(starts.tolist()))
 
     # -- constructors ------------------------------------------------------
 
@@ -100,7 +103,7 @@ class SparseEmbedding:
 
     def signature(self) -> tuple:
         """Value identity: the extent and the exact partition boundaries."""
-        return ("sparse", self.N, tuple(int(s) for s in self.starts))
+        return self._signature
 
     def same_partition(self, other: "SparseEmbedding") -> bool:
         return (
@@ -110,16 +113,6 @@ class SparseEmbedding:
         )
 
     # -- shape -------------------------------------------------------------
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Indices owned per rank (length ``p``)."""
-        return np.diff(self.starts)
-
-    @property
-    def max_count(self) -> int:
-        """The largest per-rank index count (the SIMD pass volume)."""
-        return int(self.counts.max())
 
     def rank_range(self, rank: int) -> Tuple[int, int]:
         """The ``[lo, hi)`` global index range owned by ``rank``."""

@@ -1,13 +1,16 @@
-"""Distributed sparse arrays: per-rank CSR blocks and aligned vectors.
+"""Distributed sparse arrays: row-partitioned CSR and aligned vectors.
 
-A :class:`SparseMatrix` holds one CSR block per partition rank — the rows
-``starts[r]:starts[r+1]`` of its :class:`~repro.sparse.embedding.
-SparseEmbedding`.  The blocks are *ragged* (each rank owns a different
-number of rows and nonzeros), so unlike the dense arrays they are not one
-rectangular :class:`~repro.machine.pvar.PVar`; instead the functional data
-lives in per-rank host arrays and every distributed operation charges the
-machine explicitly — compute as lockstep SIMD passes at the **maximum**
-per-rank volume, communication as routed message multisets through
+A :class:`SparseMatrix` is one global CSR (``indptr`` over all ``N`` rows,
+``indices``, ``data``) whose rows are partitioned by a
+:class:`~repro.sparse.embedding.SparseEmbedding`: rank ``r`` owns the rows
+``starts[r]:starts[r+1]`` and so the nonzeros
+``indptr[starts[r]]:indptr[starts[r+1]]``.  The per-rank blocks are
+*ragged* (each rank owns a different number of rows and nonzeros), so
+unlike the dense arrays they are not one rectangular
+:class:`~repro.machine.pvar.PVar`; instead the functional data lives in
+flat host arrays and every distributed operation charges the machine
+explicitly — compute as lockstep SIMD passes at the **maximum** per-rank
+volume, communication as routed message multisets through
 :meth:`Router.simulate <repro.machine.router.Router.simulate>`.
 
 Loading host data (``from_coo`` / ``from_dense`` / ``to_dense``) is
@@ -15,10 +18,11 @@ front-end I/O and free, matching the dense embedding convention; moving
 rows between ranks (:meth:`SparseMatrix.repartition`) is a timed
 distributed operation.
 
-A :class:`SparseVector` is the vector partner: per-rank dense segments of a
-length-``L`` vector under the same contiguous partition, with an explicit
-``fill`` value (the ambient semiring's zero) that the primitives treat as
-"absent" — only entries different from ``fill`` are ever shipped.
+A :class:`SparseVector` is the vector partner: one length-``L`` array under
+the same contiguous partition (rank ``r``'s segment is
+``values[starts[r]:starts[r+1]]``), with an explicit ``fill`` value (the
+ambient semiring's zero) that the primitives treat as "absent" — only
+entries different from ``fill`` are ever shipped.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ class SparseMatrix:
         machine: Hypercube,
         embedding: SparseEmbedding,
         shape: Tuple[int, int],
-        indptr: List[np.ndarray],
-        indices: List[np.ndarray],
-        data: List[np.ndarray],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
     ) -> None:
         N, M = int(shape[0]), int(shape[1])
         if embedding.N != N:
@@ -68,12 +72,12 @@ class SparseMatrix:
                 f"embedding partitions {embedding.N} rows but the matrix "
                 f"has {N}"
             )
-        if len(indptr) != machine.p or len(indices) != machine.p or len(
-            data
-        ) != machine.p:
+        if indptr.shape != (N + 1,) or not (
+            indices.shape == data.shape == (int(indptr[-1]),)
+        ):
             raise ShapeError(
-                f"expected {machine.p} per-rank blocks, got "
-                f"{len(indptr)}/{len(indices)}/{len(data)}"
+                f"expected a CSR of {N} rows, got indptr {indptr.shape}, "
+                f"indices {indices.shape}, data {data.shape}"
             )
         self.machine = machine
         self.embedding = embedding
@@ -127,22 +131,10 @@ class SparseMatrix:
                 )
         elif embedding.machine is not machine:
             raise EmbeddingError("embedding belongs to a different machine")
-        indptr, indices, blocks = [], [], []
-        for r in range(machine.p):
-            lo, hi = embedding.rank_range(r)
-            sel = slice(
-                np.searchsorted(rows, lo, side="left"),
-                np.searchsorted(rows, hi, side="left"),
-            )
-            local_rows = rows[sel] - lo
-            indptr.append(
-                np.concatenate(
-                    [[0], np.cumsum(np.bincount(local_rows, minlength=hi - lo))]
-                ).astype(np.int64)
-            )
-            indices.append(cols[sel].copy())
-            blocks.append(data[sel].copy())
-        return cls(machine, embedding, (N, M), indptr, indices, blocks)
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=N))]
+        ).astype(np.int64)
+        return cls(machine, embedding, (N, M), indptr, cols, data)
 
     @classmethod
     def from_dense(
@@ -171,36 +163,30 @@ class SparseMatrix:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.data[0].dtype if self.data else np.dtype(np.float64)
+        return self.data.dtype
 
     @property
     def nnz(self) -> int:
-        return int(sum(idx.size for idx in self.indices))
+        return int(self.indices.size)
 
     def rank_nnz(self) -> np.ndarray:
         """Per-rank nonzero counts (the SIMD imbalance profile)."""
-        return np.array([idx.size for idx in self.indices], dtype=np.int64)
+        return np.diff(self.indptr[self.embedding.starts])
 
     def row_nnz(self) -> np.ndarray:
         """Per-row nonzero counts as one host array."""
-        return np.concatenate([np.diff(ptr) for ptr in self.indptr])
+        return np.diff(self.indptr)
+
+    def row_ids(self) -> np.ndarray:
+        """The global row of every stored nonzero."""
+        rows = np.arange(self.shape[0], dtype=np.int64)
+        return np.repeat(rows, self.row_nnz())
 
     # -- host transfer (front-end I/O; not timed) --------------------------
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Host COO triplets, sorted by (row, col)."""
-        rows = []
-        for r in range(self.machine.p):
-            lo, hi = self.embedding.rank_range(r)
-            local = np.repeat(
-                np.arange(hi - lo, dtype=np.int64), np.diff(self.indptr[r])
-            )
-            rows.append(local + lo)
-        return (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.indices),
-            np.concatenate(self.data),
-        )
+        return self.row_ids(), self.indices.copy(), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
         """Densify on the host (zero background)."""
@@ -262,9 +248,11 @@ class SparseMatrix:
                     uniq // machine.p, uniq % machine.p, sizes
                 )
                 machine.charge_local(float(in_per_rank.max()))
-        rows, cols, data = self.to_coo()
-        return SparseMatrix.from_coo(
-            machine, rows, cols, data, self.shape, embedding=embedding
+        # The global CSR does not depend on the partition: only the labels
+        # move.
+        return SparseMatrix(
+            machine, embedding, self.shape,
+            self.indptr, self.indices, self.data,
         )
 
     def rebalance(self) -> "SparseMatrix":
@@ -280,7 +268,7 @@ class SparseMatrix:
 
 
 class SparseVector:
-    """A length-``L`` vector in per-rank dense segments with a fill value.
+    """A length-``L`` vector on a sparse partition, with a fill value.
 
     ``fill`` is the ambient semiring's zero: entries equal to it are
     "absent" — :func:`~repro.sparse.primitives.spmv` neither ships nor
@@ -291,24 +279,18 @@ class SparseVector:
         self,
         machine: Hypercube,
         embedding: SparseEmbedding,
-        blocks: List[np.ndarray],
+        values: np.ndarray,
         fill: Any,
     ) -> None:
-        if len(blocks) != machine.p:
+        if values.shape != (embedding.N,):
             raise ShapeError(
-                f"expected {machine.p} per-rank blocks, got {len(blocks)}"
+                f"vector has shape {values.shape}, embedding expects "
+                f"({embedding.N},)"
             )
-        counts = embedding.counts
-        for r, blk in enumerate(blocks):
-            if blk.shape != (counts[r],):
-                raise ShapeError(
-                    f"rank {r} block has shape {blk.shape}, embedding "
-                    f"expects ({int(counts[r])},)"
-                )
         self.machine = machine
         self.embedding = embedding
-        self.blocks = blocks
-        self.fill = blocks[0].dtype.type(fill) if blocks else fill
+        self.values = values
+        self.fill = values.dtype.type(fill)
 
     @classmethod
     def from_numpy(
@@ -326,8 +308,7 @@ class SparseVector:
             embedding = SparseEmbedding.balanced(machine, values.size)
         elif embedding.machine is not machine:
             raise EmbeddingError("embedding belongs to a different machine")
-        blocks = [blk.copy() for blk in embedding.split(values)]
-        return cls(machine, embedding, blocks, fill)
+        return cls(machine, embedding, values.copy(), fill)
 
     @classmethod
     def full(
@@ -338,10 +319,12 @@ class SparseVector:
         dtype: Any,
     ) -> "SparseVector":
         """An all-``fill`` (empty) vector on the given partition."""
-        blocks = [
-            np.full(int(c), fill, dtype=dtype) for c in embedding.counts
-        ]
-        return cls(machine, embedding, blocks, fill)
+        return cls(machine, embedding, np.full(embedding.N, fill, dtype), fill)
+
+    @property
+    def blocks(self) -> List[np.ndarray]:
+        """Per-rank segments of :attr:`values` (views)."""
+        return self.embedding.split(self.values)
 
     @property
     def L(self) -> int:
@@ -349,23 +332,20 @@ class SparseVector:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.blocks[0].dtype if self.blocks else np.dtype(np.float64)
+        return self.values.dtype
 
     @property
     def nnz(self) -> int:
         """Entries different from ``fill`` (present elements)."""
-        return int(sum(int((blk != self.fill).sum()) for blk in self.blocks))
+        return int(np.count_nonzero(self.values != self.fill))
 
     def to_numpy(self) -> np.ndarray:
         """Read back to the host (front-end I/O; not timed)."""
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
+        return self.values.copy()
 
     def copy(self) -> "SparseVector":
         return SparseVector(
-            self.machine,
-            self.embedding,
-            [blk.copy() for blk in self.blocks],
-            self.fill,
+            self.machine, self.embedding, self.values.copy(), self.fill
         )
 
     def elementwise(
@@ -381,14 +361,14 @@ class SparseVector:
                 "elementwise operands must share the sparse partition"
             )
         self.machine.charge_flops(self.embedding.max_count)
-        blocks = [op(a, b) for a, b in zip(self.blocks, other.blocks)]
-        return SparseVector(self.machine, self.embedding, blocks, fill)
+        values = op(self.values, other.values)
+        return SparseVector(self.machine, self.embedding, values, fill)
 
     def map(self, fn, fill: Any) -> "SparseVector":
         """Unary elementwise transform: one SIMD pass."""
         self.machine.charge_flops(self.embedding.max_count)
-        blocks = [fn(blk) for blk in self.blocks]
-        return SparseVector(self.machine, self.embedding, blocks, fill)
+        values = fn(self.values)
+        return SparseVector(self.machine, self.embedding, values, fill)
 
     def __repr__(self) -> str:
         return (

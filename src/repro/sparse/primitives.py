@@ -27,8 +27,6 @@ charges describe, with NumPy's unbuffered/segmented reductions
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
@@ -49,19 +47,37 @@ def _check_fill_is_zero(x: SparseVector, sr: Semiring) -> None:
         )
 
 
-def _global_coo(A: SparseMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols, data = A.to_coo()
-    return rows, cols, data
+def _nonzero_ranks(A: SparseMatrix) -> np.ndarray:
+    """The partition rank that stores each nonzero of ``A``."""
+    ranks = np.arange(A.machine.p, dtype=np.int64)
+    return np.repeat(ranks, A.rank_nnz())
 
 
-def _route_messages(machine, messages: list) -> None:
-    """Charge an aggregated sparse all-to-all (``messages`` of (src, dst, words))."""
-    if not messages:
+def _route_pairs(
+    A: SparseMatrix,
+    owners: SparseEmbedding,
+    keys: np.ndarray,
+    words: np.ndarray,
+) -> None:
+    """Pack, route and unpack an aggregated sparse all-to-all.
+
+    ``keys`` are ascending ``dest * p + owner`` rank pairs (``dest`` a rank
+    of ``A``'s rows, ``owner`` a rank of ``owners``) and ``words`` the size
+    of each pair's message.  Message order is (dest, owner) ascending so
+    the multiset (and its route plan key) is deterministic.
+    """
+    if not keys.size:
         return
-    src = np.array([m[0] for m in messages], dtype=np.int64)
-    dst = np.array([m[1] for m in messages], dtype=np.int64)
-    sizes = np.array([m[2] for m in messages], dtype=np.float64)
-    Router(machine).simulate(src, dst, sizes)
+    machine = A.machine
+    p = machine.p
+    dest, owner = np.divmod(keys, p)
+    send = np.bincount(owner, weights=words, minlength=p)
+    recv = np.bincount(dest, weights=words, minlength=p)
+    machine.charge_local(float(send.max()))  # pack packets
+    Router(machine).simulate(
+        owners.pid_of_rank(owner), A.embedding.pid_of_rank(dest), words
+    )
+    machine.charge_local(float(recv.max()))  # unpack packets
 
 
 def spmv(
@@ -88,60 +104,35 @@ def spmv(
     zero = sr.zero(out_dtype)
     p = machine.p
     with machine.phase("spmv"):
-        xvals = x.to_numpy()
+        xvals = x.values
         present = xvals != x.fill
         x_rank = x.embedding.rank_table()
-        # Per-rank gather lists: which present x entries each rank needs,
-        # grouped by owner.  Message order is (dest, owner) ascending so
-        # the multiset (and its route plan key) is deterministic.
-        messages = []
-        send_words = np.zeros(p, dtype=np.float64)
-        recv_words = np.zeros(p, dtype=np.float64)
-        ops_per_rank = np.zeros(p, dtype=np.int64)
-        for r in range(p):
-            idx = A.indices[r]
-            if idx.size == 0:
-                continue
-            ops_per_rank[r] = int(present[idx].sum())
-            need = np.unique(idx)
-            need = need[present[need]]
-            if need.size == 0:
-                continue
-            counts = np.bincount(x_rank[need], minlength=p)
-            for o in range(p):
-                if counts[o] == 0 or o == r:
-                    continue
-                words = 2.0 * counts[o]
-                messages.append(
-                    (
-                        int(x.embedding.pid_of_rank(o)),
-                        int(x.embedding.pid_of_rank(r)),
-                        words,
-                    )
-                )
-                send_words[o] += words
-                recv_words[r] += words
-        if messages:
-            machine.charge_local(float(send_words.max()))  # pack packets
-            _route_messages(machine, messages)
-            machine.charge_local(float(recv_words.max()))  # unpack packets
+        cols = A.indices
+        nz_rank = _nonzero_ranks(A)
+        live = present[cols]
+        # Each rank fetches every distinct present x entry its nonzeros
+        # reference: one 2-word packet per entry, aggregated per owner.
+        dest, col = np.divmod(np.unique(nz_rank[live] * M + cols[live]), M)
+        owner = x_rank[col]
+        remote = owner != dest
+        keys, counts = np.unique(
+            dest[remote] * p + owner[remote], return_counts=True
+        )
+        _route_pairs(A, x.embedding, keys, 2.0 * counts)
         # Output accumulator init, then mul pass and ⊕-scatter pass.
         machine.charge_local(A.embedding.max_count)
-        max_ops = int(ops_per_rank.max()) if p else 0
+        max_ops = int(np.bincount(nz_rank[live], minlength=p).max())
         if max_ops:
             machine.charge_flops(max_ops)  # ⊗ of every surviving pair
             machine.charge_flops(max_ops)  # ⊕ accumulation into rows
-        rows_g, cols_g, data_g = _global_coo(A)
         y = np.full(N, zero, dtype=out_dtype)
-        sel = present[cols_g]
-        if sel.any():
+        if live.any():
             terms = sr.mul(
-                data_g[sel].astype(out_dtype, copy=False),
-                xvals[cols_g[sel]].astype(out_dtype, copy=False),
+                A.data[live].astype(out_dtype, copy=False),
+                xvals[cols[live]].astype(out_dtype, copy=False),
             )
-            sr.accumulate_at(y, rows_g[sel], terms)
-        blocks = [blk.copy() for blk in A.embedding.split(y)]
-    return SparseVector(machine, A.embedding, blocks, zero)
+            sr.accumulate_at(y, A.row_ids()[live], terms)
+    return SparseVector(machine, A.embedding, y, zero)
 
 
 def spgemm(
@@ -172,51 +163,28 @@ def spgemm(
     with machine.phase("spgemm"):
         b_row_nnz = B.row_nnz()
         b_rank = B.embedding.rank_table()
-        messages = []
-        send_words = np.zeros(p, dtype=np.float64)
-        recv_words = np.zeros(p, dtype=np.float64)
-        ops_per_rank = np.zeros(p, dtype=np.int64)
-        for r in range(p):
-            idx = A.indices[r]
-            if idx.size == 0:
-                continue
-            ops_per_rank[r] = int(b_row_nnz[idx].sum())
-            need = np.unique(idx)
-            need = need[b_row_nnz[need] > 0]
-            if need.size == 0:
-                continue
-            words_per_row = 2.0 * b_row_nnz[need] + 1.0
-            owners = b_rank[need]
-            for o in range(p):
-                if o == r:
-                    continue
-                mask = owners == o
-                if not mask.any():
-                    continue
-                words = float(words_per_row[mask].sum())
-                messages.append(
-                    (
-                        int(B.embedding.pid_of_rank(o)),
-                        int(A.embedding.pid_of_rank(r)),
-                        words,
-                    )
-                )
-                send_words[o] += words
-                recv_words[r] += words
-        if messages:
-            machine.charge_local(float(send_words.max()))
-            _route_messages(machine, messages)
-            machine.charge_local(float(recv_words.max()))
-        max_ops = int(ops_per_rank.max()) if p else 0
+        a_cols = A.indices
+        nz_rank = _nonzero_ranks(A)
+        # Each rank fetches every distinct non-empty B row its nonzeros
+        # reference: one CSR packet of 2·nnz + 1 words per row.
+        dest, row = np.divmod(np.unique(nz_rank * K + a_cols), K)
+        owner = b_rank[row]
+        remote = (owner != dest) & (b_row_nnz[row] > 0)
+        keys, inverse = np.unique(
+            dest[remote] * p + owner[remote], return_inverse=True
+        )
+        words = np.bincount(
+            inverse, weights=2.0 * b_row_nnz[row[remote]] + 1.0,
+            minlength=keys.size,
+        )
+        _route_pairs(A, B.embedding, keys, words)
+        reps = b_row_nnz[a_cols]
+        max_ops = int(np.bincount(nz_rank, weights=reps, minlength=p).max())
         if max_ops:
             machine.charge_flops(max_ops)  # ⊗ of every expanded product
             machine.charge_local(max_ops)  # sort/stage the expansion
             machine.charge_flops(max_ops)  # ⊕-combine duplicate (i, j)
         # Functional expansion: every (i, k) of A against B's row k.
-        a_rows, a_cols, a_data = _global_coo(A)
-        b_rows, b_cols, b_data = _global_coo(B)
-        b_indptr = np.concatenate([[0], np.cumsum(b_row_nnz)]).astype(np.int64)
-        reps = b_row_nnz[a_cols]
         total = int(reps.sum())
         if total == 0:
             return SparseMatrix.from_coo(
@@ -230,12 +198,12 @@ def spgemm(
         offsets = np.arange(total, dtype=np.int64) - np.repeat(
             np.concatenate([[0], np.cumsum(reps)[:-1]]).astype(np.int64), reps
         )
-        pos = np.repeat(b_indptr[a_cols], reps) + offsets
-        out_rows = np.repeat(a_rows, reps)
-        out_cols = b_cols[pos]
+        pos = np.repeat(B.indptr[a_cols], reps) + offsets
+        out_rows = np.repeat(A.row_ids(), reps)
+        out_cols = B.indices[pos]
         terms = sr.mul(
-            np.repeat(a_data, reps).astype(out_dtype, copy=False),
-            b_data[pos].astype(out_dtype, copy=False),
+            np.repeat(A.data, reps).astype(out_dtype, copy=False),
+            B.data[pos].astype(out_dtype, copy=False),
         )
         order = np.lexsort((out_cols, out_rows))
         out_rows, out_cols, terms = (

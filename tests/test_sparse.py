@@ -17,6 +17,8 @@ external references):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Session
 from repro.errors import ConfigError, EmbeddingError, ShapeError
 from repro.machine import CostModel, Hypercube
+from repro.machine.router import Router
 from repro.sparse import (
     MIN_PLUS,
     OR_AND,
@@ -312,3 +315,301 @@ def test_vector_round_trip_under_sanitizer(case):
     y = x.copy()
     y.blocks[0] = y.blocks[0].copy()
     assert np.array_equal(y.to_numpy(), values)
+
+
+# -- flat storage: per-rank views and aliasing -------------------------------
+
+
+def _skewed_partition(machine, N):
+    """Every index on rank ``p // 2``: all other ranks are empty."""
+    p = machine.p
+    starts = np.where(np.arange(p + 1) <= p // 2, 0, N)
+    return SparseEmbedding(machine, N, starts)
+
+
+def test_blocks_are_views_of_the_flat_values():
+    machine = Session(3).machine  # p = 8 > N: some ranks own nothing
+    values = np.arange(5, dtype=np.int64)
+    for emb in (
+        SparseEmbedding.balanced(machine, 5),
+        _skewed_partition(machine, 5),
+    ):
+        x = SparseVector.from_numpy(machine, values, embedding=emb)
+        blocks = x.blocks
+        assert len(blocks) == machine.p
+        for r, blk in enumerate(blocks):
+            lo, hi = emb.starts[r], emb.starts[r + 1]
+            assert np.array_equal(blk, x.values[lo:hi])
+            assert blk.size == 0 or np.shares_memory(blk, x.values)
+        assert any(blk.size == 0 for blk in blocks)
+
+
+def test_vector_outputs_never_alias_operands(unit_machine):
+    D = np.array([[1, 0, 2], [0, 3, 0], [4, 0, 5]], dtype=np.int64)
+    A = SparseMatrix.from_dense(unit_machine, D)
+    a = SparseVector.from_numpy(unit_machine, np.array([1, 0, 7]))
+    b = SparseVector.from_numpy(
+        unit_machine, np.array([2, 2, 0]), embedding=a.embedding
+    )
+    host = a.to_numpy()
+    saved = [v.values.copy() for v in (a, b)]
+    outputs = [
+        a.copy(),
+        a.elementwise(b, np.add, 0),
+        a.map(np.negative, 0),
+        spmv(A, a),
+    ]
+    for out in outputs:
+        assert not np.shares_memory(out.values, a.values)
+        assert not np.shares_memory(out.values, b.values)
+        out.values[:] = 99
+    host[:] = -1  # to_numpy hands back a copy too
+    for v, want in zip((a, b), saved):
+        assert np.array_equal(v.values, want)
+
+
+def test_repartition_keeps_coo_triplets(unit_machine, rng):
+    dense = (rng.random((23, 17)) < 0.3) * rng.integers(1, 9, size=(23, 17))
+    A = SparseMatrix.from_dense(unit_machine, dense.astype(np.int64))
+    for emb in (
+        SparseEmbedding.balanced(unit_machine, 23),
+        _skewed_partition(unit_machine, 23),
+    ):
+        B = A.repartition(emb)
+        assert B.embedding is emb
+        for got, want in zip(B.to_coo(), A.to_coo()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            B.rank_nnz(),
+            [B.row_nnz()[lo:hi].sum() for lo, hi in zip(emb.starts[:-1],
+                                                          emb.starts[1:])],
+        )
+
+
+# -- traffic pins: whole-array builders vs the per-rank loops ----------------
+#
+# The two builders below are the per-rank loops ``spmv`` and ``spgemm``
+# used to build their sparse all-to-all, kept as references.  The routed
+# (src, dst, sizes) arrays must equal theirs bit for bit and in the same
+# order (the order is the route plan key), and replaying the loops'
+# charges on a twin session must give the same CostSnapshot and plan
+# hits/misses.
+
+
+@dataclass
+class _Traffic:
+    src: np.ndarray
+    dst: np.ndarray
+    sizes: np.ndarray
+    send_max: float
+    recv_max: float
+    ops_max: int
+
+
+def _traffic(messages, send_words, recv_words, ops_per_rank) -> _Traffic:
+    return _Traffic(
+        np.array([m[0] for m in messages], dtype=np.int64),
+        np.array([m[1] for m in messages], dtype=np.int64),
+        np.array([m[2] for m in messages], dtype=np.float64),
+        float(send_words.max()),
+        float(recv_words.max()),
+        int(ops_per_rank.max()),
+    )
+
+
+def _rank_indices(A):
+    """The column indices of each rank's CSR block."""
+    bounds = A.indptr[A.embedding.starts]
+    return [A.indices[bounds[r]:bounds[r + 1]] for r in range(A.machine.p)]
+
+
+def _reference_spmv_traffic(A, x) -> _Traffic:
+    p = A.machine.p
+    present = x.to_numpy() != x.fill
+    x_rank = x.embedding.rank_table()
+    messages = []
+    send_words = np.zeros(p, dtype=np.float64)
+    recv_words = np.zeros(p, dtype=np.float64)
+    ops_per_rank = np.zeros(p, dtype=np.int64)
+    for r, idx in enumerate(_rank_indices(A)):
+        if idx.size == 0:
+            continue
+        ops_per_rank[r] = int(present[idx].sum())
+        need = np.unique(idx)
+        need = need[present[need]]
+        if need.size == 0:
+            continue
+        counts = np.bincount(x_rank[need], minlength=p)
+        for o in range(p):
+            if counts[o] == 0 or o == r:
+                continue
+            words = 2.0 * counts[o]
+            messages.append(
+                (
+                    int(x.embedding.pid_of_rank(o)),
+                    int(x.embedding.pid_of_rank(r)),
+                    words,
+                )
+            )
+            send_words[o] += words
+            recv_words[r] += words
+    return _traffic(messages, send_words, recv_words, ops_per_rank)
+
+
+def _reference_spgemm_traffic(A, B) -> _Traffic:
+    p = A.machine.p
+    b_row_nnz = B.row_nnz()
+    b_rank = B.embedding.rank_table()
+    messages = []
+    send_words = np.zeros(p, dtype=np.float64)
+    recv_words = np.zeros(p, dtype=np.float64)
+    ops_per_rank = np.zeros(p, dtype=np.int64)
+    for r, idx in enumerate(_rank_indices(A)):
+        if idx.size == 0:
+            continue
+        ops_per_rank[r] = int(b_row_nnz[idx].sum())
+        need = np.unique(idx)
+        need = need[b_row_nnz[need] > 0]
+        if need.size == 0:
+            continue
+        words_per_row = 2.0 * b_row_nnz[need] + 1.0
+        owners = b_rank[need]
+        for o in range(p):
+            if o == r:
+                continue
+            mask = owners == o
+            if not mask.any():
+                continue
+            words = float(words_per_row[mask].sum())
+            messages.append(
+                (
+                    int(B.embedding.pid_of_rank(o)),
+                    int(A.embedding.pid_of_rank(r)),
+                    words,
+                )
+            )
+            send_words[o] += words
+            recv_words[r] += words
+    return _traffic(messages, send_words, recv_words, ops_per_rank)
+
+
+def _replay_route(machine, t: _Traffic) -> None:
+    if t.src.size:
+        machine.charge_local(t.send_max)
+        Router(machine).simulate(t.src, t.dst, t.sizes)
+        machine.charge_local(t.recv_max)
+
+
+def _replay_spmv(A, x) -> _Traffic:
+    t = _reference_spmv_traffic(A, x)
+    _replay_route(A.machine, t)
+    A.machine.charge_local(A.embedding.max_count)
+    if t.ops_max:
+        A.machine.charge_flops(t.ops_max)
+        A.machine.charge_flops(t.ops_max)
+    return t
+
+
+def _replay_spgemm(A, B) -> _Traffic:
+    t = _reference_spgemm_traffic(A, B)
+    _replay_route(A.machine, t)
+    if t.ops_max:
+        A.machine.charge_flops(t.ops_max)
+        A.machine.charge_local(t.ops_max)
+        A.machine.charge_flops(t.ops_max)
+    return t
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """Every ``Router.simulate`` input, recorded as the router sees it."""
+    calls = []
+    simulate = Router.simulate
+
+    def record(self, src, dst, sizes, charge=True):
+        calls.append(
+            (
+                np.asarray(src, dtype=np.int64).copy(),
+                np.asarray(dst, dtype=np.int64).copy(),
+                np.asarray(sizes, dtype=np.float64).copy(),
+            )
+        )
+        return simulate(self, src, dst, sizes, charge)
+
+    monkeypatch.setattr(Router, "simulate", record)
+    return calls
+
+
+#: (cube dimension, (N, K, M)): at n = 3, p = 8 > N leaves ranks empty.
+_PIN_SHAPES = [(3, (5, 6, 4)), (2, (24, 24, 18)), (4, (40, 31, 22))]
+_PIN_DTYPES = {
+    "plus_times": np.int64, "min_plus": np.float64, "or_and": np.bool_,
+}
+
+
+def _pin_operands(machine, name, layout, shape, seed):
+    """A, B and x on ``machine``; x takes three partitions unlike A's rows."""
+    N, K, M = shape
+    rng = np.random.default_rng(seed)
+    dtype = _PIN_DTYPES[name]
+    zero = get_semiring(name).zero(dtype)
+
+    def pattern(rows, cols):
+        mask = rng.random((rows, cols)) < 0.35
+        return (mask * rng.integers(1, 6, size=(rows, cols))).astype(dtype)
+
+    A = SparseMatrix.from_dense(machine, pattern(N, K), layout=layout)
+    B = SparseMatrix.from_dense(machine, pattern(K, M), layout=layout)
+    xv = ((rng.random(K) < 0.6) * rng.integers(1, 6, size=K)).astype(dtype)
+    xv[xv == dtype(0)] = zero
+    xs = [
+        SparseVector.from_numpy(machine, xv, fill=zero, embedding=emb)
+        for emb in (
+            SparseEmbedding.balanced(machine, K),
+            _skewed_partition(machine, K),
+            B.embedding,
+        )
+    ]
+    return A, B, xs
+
+
+def _assert_pinned(routed, live, twin, call, replay) -> None:
+    """``call`` routes and charges on ``live`` as ``replay`` on ``twin``."""
+    routed.clear()
+    call()
+    got = list(routed)
+    want = replay()
+    if want.src.size:
+        assert len(got) == 1
+        for have, ref in zip(got[0], (want.src, want.dst, want.sizes)):
+            assert have.tobytes() == ref.tobytes()
+    else:
+        assert got == []
+    assert live.snapshot() == twin.snapshot()
+    assert (
+        live.machine.counters.plan_stats()
+        == twin.machine.counters.plan_stats()
+    )
+
+
+@pytest.mark.parametrize("plan_cache", [True, False], ids=["cache", "nocache"])
+@pytest.mark.parametrize("layout", ["nnz", "block"])
+@pytest.mark.parametrize("name", ["plus_times", "min_plus", "or_and"])
+def test_traffic_matches_per_rank_loops(routed, name, layout, plan_cache):
+    for seed, (n, shape) in enumerate(_PIN_SHAPES):
+        live, twin = (Session(n, plan_cache=plan_cache) for _ in range(2))
+        A, B, xs = _pin_operands(live.machine, name, layout, shape, seed)
+        A2, B2, xs2 = _pin_operands(twin.machine, name, layout, shape, seed)
+        # Twice each: the second call replays cached route plans.
+        for _ in range(2):
+            for x, x2 in zip(xs, xs2):
+                _assert_pinned(
+                    routed, live, twin,
+                    lambda: spmv(A, x, name), lambda: _replay_spmv(A2, x2),
+                )
+            _assert_pinned(
+                routed, live, twin,
+                lambda: spgemm(A, B, name), lambda: _replay_spgemm(A2, B2),
+            )
+        assert live.snapshot().time > 0
