@@ -23,10 +23,12 @@ Subcommands:
   re-captures the snapshots after an intentional accounting change;
 * ``bench`` — the experiment warehouse (``repro.metrics.warehouse``):
   ``bench run`` executes a declarative run table and appends one JSONL
-  record per run to ``benchmarks/warehouse/``; ``bench report`` gates
-  the latest records against pinned baselines (nonzero exit on any
-  simulated-tick regression); ``bench pin`` freezes new baselines;
-  ``bench import`` migrates the legacy ``BENCH_wallclock.json``;
+  record per run to ``benchmarks/warehouse/`` (nonzero exit on a failed
+  validation or a missed speedup target of the ``batch`` curve);
+  ``bench report`` gates the latest records against pinned baselines
+  (nonzero exit on any simulated-tick regression); ``bench pin`` freezes
+  new baselines; ``bench import`` migrates the frozen
+  ``BENCH_wallclock.json`` history;
 * ``chaos`` — randomized seeded fault campaigns: every schedule draws a
   workload, a feature-flag combination and a fault plan mixing
   fail-stop, silent-data-corruption and gray-failure events, and must
@@ -693,6 +695,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             wh.append_records(records, runs_path)
             failed = [r for r in records if r["validated"] is False]
+            missed = wh.missed_targets(args.table, records)
             data = {
                 "table": args.table,
                 "runs": len(records),
@@ -703,14 +706,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                      "detail": r["validate_detail"]}
                     for r in failed
                 ],
+                "missed_targets": missed,
                 "records": records,
             }
-            text = (
-                f"{len(records)} runs appended to {runs_path}"
-                + (f"; {len(failed)} VALIDATION FAILURES" if failed else "")
+            text = "\n".join(
+                [f"{len(records)} runs appended to {runs_path}"
+                 + (f"; {len(failed)} VALIDATION FAILURES" if failed else "")]
+                + [f"TARGET MISSED: {line}" for line in missed]
             )
             _emit(args, data, text)
-            return 1 if failed else 0
+            return 1 if failed or missed else 0
 
         if args.action == "report":
             records = wh.load_records(runs_path)
@@ -1090,7 +1095,9 @@ def main(argv=None) -> int:
              "pin the latest records, or import BENCH_wallclock.json")
     p_bench.add_argument(
         "--table", default="smoke",
-        help="built-in run table (smoke, full) or a JSON run-table file")
+        help="built-in run table (smoke, full, resilience, batch) or a "
+             "JSON run-table file; `batch` exits 1 if gaussian N=64 is "
+             "under 4x amortized")
     p_bench.add_argument(
         "--out", default=None, metavar="DIR",
         help="warehouse directory (default benchmarks/warehouse)")

@@ -23,7 +23,7 @@ from .profiler import env_enabled as profile_env_enabled
 from .registry import ENV_FLAG as METRICS_ENV_FLAG
 from .registry import Metric, MetricsRegistry
 from .registry import env_enabled as metrics_env_enabled
-from .timing import TimedRun, best_of, interleaved
+from .timing import TimedRun, best_of
 
 __all__ = [
     "MetricsRegistry",
@@ -31,7 +31,6 @@ __all__ = [
     "PhaseProfiler",
     "TimedRun",
     "best_of",
-    "interleaved",
     "METRICS_ENV_FLAG",
     "PROFILE_ENV_FLAG",
     "metrics_env_enabled",

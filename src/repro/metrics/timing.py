@@ -1,18 +1,11 @@
-"""Shared wall-clock timing helpers for the benchmark suite.
+"""The wall-clock estimator of the experiment warehouse.
 
-Every ``benchmarks/bench_*.py`` script used to carry its own copy of the
-same two measurement loops; they live here once, importable both from the
-library (the experiment warehouse) and from the scripts (re-exported via
-``benchmarks/harness.py``).
+:func:`best_of` runs an optional warm-up, then ``reps`` timed calls, and
+keeps the minimum (and the mean).  The minimum is the standard
+noise-resistant estimator: host-load spikes only ever make a rep slower.
+Every warehouse run (``python -m repro bench``) is timed through it.
 
-* :func:`best_of` — warm-up + ``reps`` timed calls, keep the minimum.
-  The min is the standard noise-resistant estimator: host-load spikes
-  only ever make a rep slower.
-* :func:`interleaved` — the same, over several configurations *alternated
-  rep by rep*, so host load drift hits every configuration equally
-  instead of biasing whichever ran second.
-
-Both take an injectable ``clock`` so tests can pin the arithmetic with a
+It takes an injectable ``clock`` so tests can pin the arithmetic with a
 deterministic counter.
 """
 
@@ -20,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..errors import ConfigError
 
@@ -65,45 +58,4 @@ def best_of(
     return TimedRun(best=best, mean=total / reps, result=result)
 
 
-def interleaved(
-    runs: Sequence[Callable[[], Any]],
-    reps: int,
-    setups: Optional[Sequence[Optional[Callable[[], Any]]]] = None,
-    warmup: bool = True,
-    clock: Callable[[], float] = time.perf_counter,
-) -> List[TimedRun]:
-    """Best-of-``reps`` for several configurations, alternated rep by rep.
-
-    ``runs[i]`` is timed once per rep in order ``0..k-1, 0..k-1, ...``;
-    ``setups[i]`` (when given) runs untimed before each of its timed
-    calls.  With ``warmup`` (the default) every configuration first runs
-    once untimed, before any setup.
-    """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    if setups is not None and len(setups) != len(runs):
-        raise ConfigError(
-            f"{len(setups)} setups for {len(runs)} runs; counts must match"
-        )
-    if warmup:
-        for run in runs:
-            run()
-    best = [float("inf")] * len(runs)
-    totals = [0.0] * len(runs)
-    results: List[Any] = [None] * len(runs)
-    for _ in range(reps):
-        for i, run in enumerate(runs):
-            if setups is not None and setups[i] is not None:
-                setups[i]()
-            t0 = clock()
-            results[i] = run()
-            dt = clock() - t0
-            best[i] = min(best[i], dt)
-            totals[i] += dt
-    return [
-        TimedRun(best=best[i], mean=totals[i] / reps, result=results[i])
-        for i in range(len(runs))
-    ]
-
-
-__all__ = ["TimedRun", "best_of", "interleaved"]
+__all__ = ["TimedRun", "best_of"]

@@ -17,8 +17,10 @@ This module is the metricbench-style replacement:
   increase is a regression (simulated costs are deterministic, so the
   gate is exact and CI-safe); wall-clock regressions gate only when a
   tolerance is given (host speed varies across machines);
-* :func:`import_legacy` migrates the existing ``BENCH_wallclock.json``
-  history into warehouse records.
+* :func:`import_legacy` migrates the frozen ``BENCH_wallclock.json``
+  history into warehouse records;
+* :data:`SPEEDUP_TARGETS` holds the amortized-speedup floors a built-in
+  table must reach (:func:`missed_targets`).
 
 Driven by ``python -m repro bench`` (see ``repro bench --help``) and the
 CI ``bench-smoke`` step.
@@ -67,19 +69,31 @@ def default_warehouse_dir() -> str:
 
 
 def git_rev() -> str:
-    """The current git revision, or ``"unknown"`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """The current git revision, or ``"unknown"`` outside a checkout.
+
+    The revision gets a ``-dirty`` suffix when tracked files differ from
+    it, so a record made from an uncommitted tree never passes for one
+    made at its parent commit.
+    """
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
+
+    try:
+        out = git("rev-parse", "--short", "HEAD")
         rev = out.stdout.strip()
-        return rev if out.returncode == 0 and rev else "unknown"
+        if out.returncode != 0 or not rev:
+            return "unknown"
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+    return f"{rev}-dirty" if status.stdout.strip() else rev
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +108,25 @@ DEFAULT_FLAGS: Dict[str, Any] = {
     "abft": False,
 }
 
+#: ``batch_<w>`` runs the ``repro.batch.sweep`` workload ``w``.
+BATCH_WORKLOADS = ("batch_gaussian", "batch_simplex", "batch_matvec")
+
 WORKLOADS = (
-    "gaussian", "simplex", "matvec", "batch_gaussian", "graph_bfs",
-    "resilience",
-)
+    "gaussian", "simplex", "matvec", "graph_bfs", "resilience",
+) + BATCH_WORKLOADS
+
+#: Problem sizes of the batch curve (``batch`` table) and of its CI
+#: smoke points (``smoke`` table), per batch workload.
+BATCH_SIZES = {
+    "batch_gaussian": {"n": 24},
+    "batch_simplex": {"n": 18, "m": 12},
+    "batch_matvec": {"n": 32},
+}
+BATCH_SMOKE_SIZES = {
+    "batch_gaussian": {"n": 12},
+    "batch_simplex": {"n": 9, "m": 6},
+    "batch_matvec": {"n": 16},
+}
 
 
 @dataclass
@@ -136,8 +165,10 @@ def record_key(workload: str, params: Dict, flags: Dict) -> str:
 
 
 #: Built-in run tables.  ``smoke`` is the CI gate: small cube, subsecond
-#: runs, one spec per feature dimension.  ``full`` is the recorded
-#: baseline scale (n=10 cubes, the bench_wallclock problem sizes).
+#: runs, one spec per feature dimension, and the batch smoke points.
+#: ``full`` is the recorded baseline scale (n=10 cubes), with every
+#: cache, sanitizer and ABFT on/off pair.  ``batch`` is the batch curve:
+#: amortized speedup of N stacked lanes over N scalar runs.
 BUILTIN_TABLES: Dict[str, List[RunSpec]] = {
     "smoke": [
         RunSpec("gaussian", {"n_dims": 5, "order": 24}),
@@ -151,6 +182,11 @@ BUILTIN_TABLES: Dict[str, List[RunSpec]] = {
         RunSpec("matvec", {"n_dims": 5, "n": 32, "iters": 3}),
         RunSpec("batch_gaussian", {"n_dims": 5, "n": 12, "n_runs": 4}),
         RunSpec("graph_bfs", {"n_dims": 5, "nodes": 48}),
+        *(
+            RunSpec(workload, dict(size, n_dims=6, n_runs=n_runs))
+            for workload, size in BATCH_SMOKE_SIZES.items()
+            for n_runs in (1, 8)
+        ),
     ],
     "full": [
         RunSpec("gaussian", {"n_dims": 10, "order": 127}, reps=3),
@@ -162,8 +198,18 @@ BUILTIN_TABLES: Dict[str, List[RunSpec]] = {
                 {"sanitize": True, "sanitize_sample": 8}, reps=3),
         RunSpec("gaussian", {"n_dims": 10, "order": 127},
                 {"abft": True}, reps=3),
+        RunSpec("gaussian", {"n_dims": 10, "order": 255}, reps=3),
+        RunSpec("gaussian", {"n_dims": 10, "order": 255},
+                {"plan_cache": False}, reps=3),
         RunSpec("simplex", {"n_dims": 10, "m": 64, "n": 48}, reps=3),
+        RunSpec("simplex", {"n_dims": 10, "m": 64, "n": 48},
+                {"plan_cache": False}, reps=3),
+        RunSpec("simplex", {"n_dims": 10, "m": 96, "n": 64}, reps=3),
+        RunSpec("simplex", {"n_dims": 10, "m": 96, "n": 64},
+                {"plan_cache": False}, reps=3),
         RunSpec("matvec", {"n_dims": 10, "n": 256, "iters": 4}, reps=3),
+        RunSpec("matvec", {"n_dims": 10, "n": 256, "iters": 4},
+                {"abft": True}, reps=3),
         RunSpec("batch_gaussian", {"n_dims": 8, "n": 16, "n_runs": 16},
                 reps=3),
         RunSpec("graph_bfs", {"n_dims": 8, "nodes": 256}, reps=3),
@@ -192,6 +238,19 @@ BUILTIN_TABLES: Dict[str, List[RunSpec]] = {
                 {"n_dims": 5, "size": 16, "workload": "matvec",
                  "strategy": "host", "every": 2}),
     ],
+    "batch": [
+        RunSpec(workload, dict(size, n_dims=10, n_runs=n_runs), reps=3)
+        for workload, size in BATCH_SIZES.items()
+        for n_runs in (1, 4, 16, 64)
+    ],
+}
+
+#: Amortized-speedup floors per built-in table, as ``(workload, n_runs,
+#: floor)``: ``bench run`` exits nonzero when a record misses one.  The
+#: smoke table's floor (gaussian at N = 8, 2x) is checked by CI over the
+#: smoke records instead.
+SPEEDUP_TARGETS: Dict[str, List[Tuple[str, int, float]]] = {
+    "batch": [("batch_gaussian", 64, 4.0)],
 }
 
 
@@ -369,23 +428,62 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
     }
 
 
-def _run_batch_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
-    from .. import workloads as W
-    from ..batch import sweep
-    from ..batch.sweep import make_problem  # noqa: F401  (import check)
+#: Lanes of a batch spec that also run, and are timed, on the scalar path.
+SCALAR_LANES = 4
 
+
+def _lane_mismatch(workload: str, got: Dict[str, Any],
+                   want: Dict[str, Any]) -> str:
+    """What differs between a batched lane and its scalar run, or ``""``.
+
+    Compared: the result, the simulated ticks, every ``CostSnapshot``
+    field and, for simplex, the status and the iteration count.
+    """
+    key = "y" if workload == "matvec" else "x"
+    if not np.array_equal(got[key], want[key]):
+        return "result"
+    if got["time"] != want["time"]:
+        return "ticks"
+    if got["cost"].as_dict() != want["cost"].as_dict():
+        return "cost snapshot"
+    if workload == "simplex":
+        for name in ("status", "iterations"):
+            if got[name] != want[name]:
+                return name
+    return ""
+
+
+def _run_batch_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
+    """``n_runs`` seeded runs of one workload as lanes of one batch.
+
+    The first :data:`SCALAR_LANES` lanes also run on the scalar path (a
+    fresh ``Session`` each, what ``sweep`` does for configurations it
+    cannot stack); their mean best time per run over the batch's best
+    time per run is the amortized speedup.  Validation requires every
+    lane to be stacked and every sampled lane to equal its scalar run.
+    """
+    from ..batch import sweep
+    from ..batch.sweep import _run_scalar, make_problem
+
+    workload = spec.workload[len("batch_"):]
     params = dict(spec.params)
-    n_dims = int(params["n_dims"])
-    n = int(params["n"])
-    n_runs = int(params["n_runs"])
-    grid = [
-        {"n_dims": n_dims, "n": n, "seed": seed} for seed in range(n_runs)
-    ]
+    n_runs = int(params.pop("n_runs"))
+    grid = [dict(params, seed=seed) for seed in range(n_runs)]
 
     timed = best_of(
-        lambda: sweep("gaussian", grid), spec.reps, warmup=True
+        lambda: sweep(workload, grid), spec.reps, warmup=True
     )
     outs = timed.result
+
+    scalar_best, scalar_outs = [], []
+    for lane in range(min(n_runs, SCALAR_LANES)):
+        entry = {"params": grid[lane],
+                 "data": make_problem(workload, grid[lane])}
+        scalar_best.append(best_of(
+            lambda: _run_scalar(workload, entry), spec.reps, warmup=True
+        ).best)
+        scalar_outs.append(entry["out"])
+    scalar_per_run = float(np.mean(scalar_best))
 
     # Lane costs are vector-valued; the machine clock is the makespan
     # (slowest lane) and volume counters sum across lanes.
@@ -398,22 +496,37 @@ def _run_batch_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         "comm_rounds": float(sum(o["cost"].comm_rounds for o in outs)),
         "local_moves": float(sum(o["cost"].local_moves for o in outs)),
     }
+    stacked = sum(1 for o in outs if o["batched"])
     metrics = {
         "batch.lanes": float(n_runs),
-        "batch.stacked": float(sum(1 for o in outs if o["batched"])),
+        "batch.stacked": float(stacked),
+        "batch.scalar_per_run_s": scalar_per_run,
+        "batch.amortized_speedup": scalar_per_run * n_runs / timed.best,
     }
 
     validated: Optional[bool] = None
     detail = ""
     if validate:
-        validated = True
-        for lane, entry in enumerate(grid):
-            data = make_problem("gaussian", entry)
-            reference = np.linalg.solve(data["A"], data["b"])
-            if not np.allclose(outs[lane]["x"], reference, atol=1e-6):
-                validated = False
-                detail = f"batch lane {lane} diverged from numpy reference"
-                break
+        problems = []
+        if stacked != n_runs:
+            problems.append(f"{n_runs - stacked} of {n_runs} lanes not stacked")
+        for lane, want in enumerate(scalar_outs):
+            diff = _lane_mismatch(workload, outs[lane], want)
+            if diff:
+                problems.append(
+                    f"lane {lane} {diff} differs from its scalar run"
+                )
+        if workload == "gaussian":
+            for lane, entry in enumerate(grid):
+                data = make_problem("gaussian", entry)
+                reference = np.linalg.solve(data["A"], data["b"])
+                if not np.allclose(outs[lane]["x"], reference, atol=1e-6):
+                    problems.append(
+                        f"batch lane {lane} diverged from numpy reference"
+                    )
+                    break
+        validated = not problems
+        detail = "; ".join(problems)
 
     return {
         "wall_s": {"best": timed.best, "mean": timed.mean},
@@ -519,7 +632,7 @@ def _run_resilience_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
 
 def run_spec(spec: RunSpec, validate: bool = False) -> Dict[str, Any]:
     """Execute one run spec; returns a schema-versioned warehouse record."""
-    if spec.workload == "batch_gaussian":
+    if spec.workload in BATCH_WORKLOADS:
         measured = _run_batch_spec(spec, validate)
     elif spec.workload == "resilience":
         measured = _run_resilience_spec(spec, validate)
@@ -564,12 +677,31 @@ def run_table(
             status = {True: "ok", False: "FAIL", None: "-"}[
                 record["validated"]
             ]
+            speedup = record["metrics"].get("batch.amortized_speedup")
             progress(
                 f"{spec.workload:<15s} {json.dumps(spec.params, sort_keys=True):<40s} "
                 f"[{flag_bits}] wall {record['wall_s']['best'] * 1e3:8.2f} ms  "
                 f"sim {record['sim']['time']:,.0f} ticks  validate {status}"
+                + (f"  amortized {speedup:.2f}x" if speedup else "")
             )
     return records
+
+
+def missed_targets(table: str, records: List[Dict[str, Any]]) -> List[str]:
+    """One line per :data:`SPEEDUP_TARGETS` floor of ``table`` missed by
+    ``records`` (a target with no record counts as missed)."""
+    missed = []
+    for workload, n_runs, floor in SPEEDUP_TARGETS.get(table, []):
+        got = [
+            r["metrics"]["batch.amortized_speedup"] for r in records
+            if r["workload"] == workload and r["params"]["n_runs"] == n_runs
+        ]
+        if not got or min(got) < floor:
+            seen = f"{min(got):.2f}x" if got else "no record"
+            missed.append(
+                f"{workload} N={n_runs}: {seen} amortized, target {floor:g}x"
+            )
+    return missed
 
 
 # ---------------------------------------------------------------------------
@@ -881,12 +1013,14 @@ __all__ = [
     "BASELINES_FILE",
     "RunSpec",
     "BUILTIN_TABLES",
+    "SPEEDUP_TARGETS",
     "default_warehouse_dir",
     "git_rev",
     "record_key",
     "load_table",
     "run_spec",
     "run_table",
+    "missed_targets",
     "validate_record",
     "append_records",
     "load_records",

@@ -272,6 +272,30 @@ class TestSessionWiring:
         assert res.status == "optimal"
         assert s.abft.stats.protected > 0
 
+    def test_fault_free_abft_keeps_results_bit_identical(self):
+        """Checksum maintenance is charged on the clock but never touches
+        the arithmetic: integer-valued data gives identical results."""
+        from repro.algorithms import gaussian
+
+        rng = np.random.default_rng(16)
+        A = rng.integers(-5, 6, size=(16, 16)).astype(np.float64)
+        A += np.eye(16) * 16 * 8
+        b = rng.integers(-5, 6, size=16).astype(np.float64)
+        M = rng.integers(-3, 4, size=(16, 16)).astype(np.float64)
+        x = rng.integers(-3, 4, size=16).astype(np.float64)
+        results = []
+        for abft in (True, False):
+            s = Session(4, abft=abft)
+            solved = gaussian.solve(s.matrix(A), b).x
+            dM = s.matrix(M)
+            y = x
+            for _ in range(3):
+                y = dM.matvec(s.row_vector(y, dM)).to_numpy()
+            results.append((solved, y))
+        (x_on, y_on), (x_off, y_off) = results
+        assert np.array_equal(x_on, x_off)
+        assert np.array_equal(y_on, y_off)
+
     def test_report_includes_abft_line(self):
         s = Session(2, abft=True)
         s.vector(np.zeros(4))

@@ -96,6 +96,16 @@ def test_solvers_bit_identical(runner):
     assert len(s_off.machine.plans) == 0
 
 
+def test_simplex_takes_the_same_path_with_the_cache_off():
+    lp = W.feasible_lp(16, 12, seed=3)
+    runs = [
+        simplex.solve(Session(6, plan_cache=on).machine, lp.A, lp.b, lp.c)
+        for on in (True, False)
+    ]
+    assert [r.status for r in runs] == ["optimal", "optimal"]
+    assert runs[0].iterations == runs[1].iterations
+
+
 def test_remap_loop_bit_identical():
     snap_on, out_on, m_on = run_remap_loop(plan_cache=True)
     snap_off, out_off, m_off = run_remap_loop(plan_cache=False)

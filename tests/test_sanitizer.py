@@ -105,6 +105,15 @@ def test_sanitizer_does_not_perturb_costs():
     assert off == on  # exact float equality, field by field
 
 
+def test_sanitizer_does_not_perturb_results():
+    from repro.algorithms import gaussian
+
+    A, b, _ = workloads.diagonally_dominant_system(18, 7)
+    x_off = gaussian.solve(Session(5, sanitize=False).matrix(A), b).x
+    x_on = gaussian.solve(Session(5, sanitize=True).matrix(A), b).x
+    assert np.array_equal(x_on, x_off)
+
+
 def test_sanitizer_runs_checks_and_reports():
     from repro.algorithms import matvec
 

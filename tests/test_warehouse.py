@@ -6,15 +6,19 @@ regression gate (``repro bench report`` must exit nonzero when simulated
 ticks grow — pinned here by tampering a record and re-running the gate).
 """
 
+import dataclasses
 import json
 import os
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.batch
 from repro.__main__ import main
 from repro.errors import ConfigError
-from repro.metrics import best_of, interleaved
+from repro.metrics import best_of
 from repro.metrics import warehouse as wh
 
 
@@ -43,7 +47,7 @@ def _runs_path(out_dir):
 
 class TestRunTables:
     def test_builtin_tables_resolve(self):
-        for name in ("smoke", "full"):
+        for name in ("smoke", "full", "batch"):
             table = wh.load_table(name)
             assert len(table) >= 8
             for spec in table:
@@ -97,6 +101,53 @@ class TestRunAndValidate:
         record = wh.run_spec(spec, validate=True)
         assert record["validated"] is True
         assert record["metrics"]["batch.lanes"] == 2
+
+    @pytest.mark.parametrize("workload, params", [
+        ("batch_simplex", {"n_dims": 3, "n": 6, "m": 4, "n_runs": 3}),
+        ("batch_matvec", {"n_dims": 3, "n": 8, "n_runs": 3}),
+    ])
+    def test_simplex_and_matvec_batches_validate(self, workload, params):
+        record = wh.run_spec(wh.RunSpec(workload, params, reps=1),
+                             validate=True)
+        assert record["validated"] is True, record["validate_detail"]
+        assert record["metrics"]["batch.stacked"] == 3
+        assert record["metrics"]["batch.scalar_per_run_s"] > 0
+        assert record["metrics"]["batch.amortized_speedup"] > 0
+
+    @pytest.mark.parametrize("workload, params, field, perturb", [
+        ("batch_matvec", {"n_dims": 3, "n": 8, "n_runs": 3}, "y",
+         lambda y: np.nextafter(y, np.inf)),
+        ("batch_matvec", {"n_dims": 3, "n": 8, "n_runs": 3}, "time",
+         lambda t: t + 0.5),
+        ("batch_simplex", {"n_dims": 3, "n": 6, "m": 4, "n_runs": 3}, "cost",
+         lambda c: dataclasses.replace(c, flops=c.flops + 1)),
+        ("batch_simplex", {"n_dims": 3, "n": 6, "m": 4, "n_runs": 3},
+         "iterations", lambda i: i + 1),
+    ])
+    def test_lane_perturbed_after_the_sweep_fails(self, monkeypatch, workload,
+                                                  params, field, perturb):
+        real_sweep = repro.batch.sweep
+
+        def perturbed_sweep(name, grid):
+            outs = real_sweep(name, grid)
+            outs[1][field] = perturb(outs[1][field])
+            return outs
+
+        monkeypatch.setattr(repro.batch, "sweep", perturbed_sweep)
+        record = wh.run_spec(wh.RunSpec(workload, params, reps=1),
+                             validate=True)
+        assert record["validated"] is False
+        assert "lane 1" in record["validate_detail"]
+
+    def test_missed_targets(self):
+        def record(n_runs, speedup):
+            return {"workload": "batch_gaussian", "params": {"n_runs": n_runs},
+                    "metrics": {"batch.amortized_speedup": speedup}}
+
+        assert wh.missed_targets("batch", [record(64, 4.5)]) == []
+        assert len(wh.missed_targets("batch", [record(64, 3.9)])) == 1
+        assert len(wh.missed_targets("batch", [record(16, 9.0)])) == 1
+        assert wh.missed_targets("smoke", [record(8, 1.0)]) == []
 
     def test_validate_record_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -192,6 +243,19 @@ class TestBenchCli:
                      "--out", str(tmp_path / "wh")]) == 2
         assert "bench run" in capsys.readouterr().err
 
+    def test_run_exits_nonzero_on_a_missed_target(self, tmp_path,
+                                                   monkeypatch, capsys):
+        table = tmp_path / "batch.json"
+        table.write_text(json.dumps({"runs": [
+            {"workload": "batch_gaussian",
+             "params": {"n_dims": 3, "n": 8, "n_runs": 2}, "reps": 1},
+        ]}))
+        monkeypatch.setitem(wh.SPEEDUP_TARGETS, str(table),
+                            [("batch_gaussian", 2, 1e9)])
+        assert main(["bench", "run", "--table", str(table),
+                     "--out", str(tmp_path / "wh"), "--validate"]) == 1
+        assert "TARGET MISSED: batch_gaussian N=2" in capsys.readouterr().out
+
     def test_json_output(self, tiny_table, tmp_path, capsys):
         out = str(tmp_path / "wh")
         assert main(["bench", "run", "--table", tiny_table, "--out", out,
@@ -284,22 +348,32 @@ class TestTimingHelpers:
         with pytest.raises(ConfigError):
             best_of(lambda: None, reps=0)
 
-    def test_interleaved_alternates_runs(self):
-        order = []
-        runs = [lambda: order.append("a"), lambda: order.append("b")]
-        timed = interleaved(runs, reps=2, warmup=False, clock=TickClock())
-        assert order == ["a", "b", "a", "b"]
-        assert len(timed) == 2
-        assert all(t.best == pytest.approx(1.0) for t in timed)
 
-    def test_interleaved_setups_pair_with_runs(self):
-        order = []
-        runs = [lambda: order.append("run-a"), lambda: order.append("run-b")]
-        setups = [lambda: order.append("set-a"), lambda: order.append("set-b")]
-        interleaved(runs, reps=1, setups=setups, warmup=False,
-                    clock=TickClock())
-        assert order == ["set-a", "run-a", "set-b", "run-b"]
+class TestGitRev:
+    @staticmethod
+    def fake_git(monkeypatch, rev_code, porcelain):
+        calls = []
 
-    def test_interleaved_rejects_mismatched_setups(self):
-        with pytest.raises(ConfigError):
-            interleaved([lambda: None], reps=1, setups=[])
+        def run(cmd, **kwargs):
+            calls.append(cmd)
+            if "rev-parse" in cmd:
+                return subprocess.CompletedProcess(
+                    cmd, rev_code, "abc1234\n", ""
+                )
+            return subprocess.CompletedProcess(cmd, 0, porcelain, "")
+
+        monkeypatch.setattr(wh.subprocess, "run", run)
+        return calls
+
+    def test_clean_tree_is_the_bare_revision(self, monkeypatch):
+        calls = self.fake_git(monkeypatch, 0, "")
+        assert wh.git_rev() == "abc1234"
+        assert ["git", "status", "--porcelain", "--untracked-files=no"] in calls
+
+    def test_uncommitted_changes_mark_the_revision_dirty(self, monkeypatch):
+        self.fake_git(monkeypatch, 0, " M src/repro/metrics/warehouse.py\n")
+        assert wh.git_rev() == "abc1234-dirty"
+
+    def test_outside_a_checkout_is_unknown(self, monkeypatch):
+        self.fake_git(monkeypatch, 128, "")
+        assert wh.git_rev() == "unknown"
