@@ -133,13 +133,9 @@ def _obs_kwargs(args: argparse.Namespace) -> dict:
             sample_every=getattr(args, "sample_every", 1) or 1
         )
     if getattr(args, "profile", False):
-        from .metrics import PhaseProfiler
-
-        kwargs["profile"] = PhaseProfiler()
+        kwargs["profile"] = True
     if getattr(args, "metrics_jsonl", None):
-        from .metrics import MetricsRegistry
-
-        kwargs["metrics"] = MetricsRegistry()
+        kwargs["metrics"] = True
     return kwargs
 
 
@@ -520,12 +516,7 @@ def _cmd_abft(args: argparse.Namespace) -> int:
         "recoveries": report.recoveries,
         "matches_baseline": matches,
         "stats": st.as_dict(),
-        "abft": dict(
-            ab.as_dict(),
-            detected=c.abft_detected,
-            corrected=c.abft_corrected,
-            recomputed=c.abft_recomputed,
-        ),
+        **manager.report_data(),
         "time": session.time,
         "fault_free_time": dry.time,
         "overhead": overhead,

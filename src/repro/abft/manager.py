@@ -94,6 +94,9 @@ class ABFTManager:
         scrubbing (guards still verify every block an operation reads).
     """
 
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "abft"
+
     def __init__(self, keep: int = 128, scrub_interval: int = 0) -> None:
         if keep < 1:
             raise ConfigError(f"ABFT registry capacity must be >= 1, got {keep}")
@@ -114,7 +117,7 @@ class ABFTManager:
     # -- lifecycle -----------------------------------------------------------
 
     def bind(self, machine: Any) -> None:
-        """Bind to ``machine`` (called by ``Hypercube.attach_abft``).
+        """Bind to ``machine`` (called by ``Hypercube.attach``).
 
         Rebinding — e.g. degraded-mode recovery moving the session onto a
         healthy subcube — drops the registry: the old panels describe
@@ -124,6 +127,8 @@ class ABFTManager:
             self._registry.clear()
         self.machine = machine
 
+    rebind = bind
+
     def reset(self) -> None:
         """Forget every protected block (checkpoint replay starts clean)."""
         self._registry.clear()
@@ -131,6 +136,22 @@ class ABFTManager:
     def protected_pvars(self) -> List[Any]:
         """Registered blocks, oldest first (fault-injector targeting)."""
         return [entry[0] for entry in self._registry.values()]
+
+    def report_data(self) -> Dict[str, Any]:
+        """The manager's part of :meth:`repro.core.session.Session.report_data`.
+
+        Detections, corrections and checkpoint replays are read from the
+        machine counters; ``run_resilient`` counts the replays.
+        """
+        c = self.machine.counters
+        return {
+            "abft": dict(
+                self.stats.as_dict(),
+                detected=c.abft_detected,
+                corrected=c.abft_corrected,
+                recomputed=c.abft_recomputed,
+            )
+        }
 
     def publish_metrics(self, registry: Any) -> None:
         """Publish checksum-layer totals into a metrics registry."""

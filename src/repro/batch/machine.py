@@ -128,43 +128,33 @@ class BatchHypercube(Hypercube):
 
     # -- unsupported subsystems ---------------------------------------------
 
-    def attach_tracer(self, tracer: Any) -> Any:
-        if tracer is not None:
-            raise ConfigError(
-                "tracing is not supported on a BatchHypercube; "
-                "trace the scalar path (lanes are bit-identical to it)"
-            )
-        self.tracer = None
-        return None
+    #: Why each scalar-only slot rejects an attachment.
+    _SCALAR_ONLY = {
+        "tracer": (
+            "tracing is not supported on a BatchHypercube; "
+            "trace the scalar path (lanes are bit-identical to it)"
+        ),
+        "sanitizer": (
+            "the machine sanitizer audits scalar machines; "
+            "sanitize the scalar path (lanes are bit-identical to it)"
+        ),
+        "abft": (
+            "ABFT checksums are not supported on a BatchHypercube; "
+            "repro.batch.sweep routes checksummed configs to scalar "
+            "sessions"
+        ),
+        "faults": (
+            "fault injection is not supported on a BatchHypercube; "
+            "repro.batch.sweep routes faulty configs through "
+            "run_resilient on scalar sessions"
+        ),
+    }
 
-    def attach_sanitizer(self, sanitizer: Any) -> Any:
-        if sanitizer is not None:
-            raise ConfigError(
-                "the machine sanitizer audits scalar machines; "
-                "sanitize the scalar path (lanes are bit-identical to it)"
-            )
-        self.sanitizer = None
-        return None
-
-    def attach_abft(self, manager: Any) -> Any:
-        if manager is not None:
-            raise ConfigError(
-                "ABFT checksums are not supported on a BatchHypercube; "
-                "repro.batch.sweep routes checksummed configs to scalar "
-                "sessions"
-            )
-        self.abft = None
-        return None
-
-    def attach_faults(self, injector: Any) -> Any:
-        if injector is not None:
-            raise ConfigError(
-                "fault injection is not supported on a BatchHypercube; "
-                "repro.batch.sweep routes faulty configs through "
-                "run_resilient on scalar sessions"
-            )
-        self.faults = None
-        return None
+    def attach(self, attachment: Any) -> Any:
+        reason = self._SCALAR_ONLY.get(attachment.slot)
+        if reason is not None:
+            raise ConfigError(reason)
+        return super().attach(attachment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

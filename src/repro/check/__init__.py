@@ -22,7 +22,6 @@ from .sanitizer import (
     ENV_SAMPLE,
     MachineSanitizer,
     SanitizerStats,
-    env_enabled,
     env_sample_every,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "ENV_SAMPLE",
     "MachineSanitizer",
     "SanitizerStats",
-    "env_enabled",
     "env_sample_every",
 ]

@@ -51,7 +51,7 @@ def sanitizer_selftest() -> dict:
         ("lost_elements", _LosesElements),
     ):
         machine = cls(3)
-        machine.attach_sanitizer(MachineSanitizer())
+        machine.attach(MachineSanitizer())
         try:
             machine.charge_comm_round(4.0, dim=1)
             outcomes[label] = {"caught": False}
@@ -59,7 +59,7 @@ def sanitizer_selftest() -> dict:
             outcomes[label] = {"caught": True, "error": str(exc)}
 
     healthy = Hypercube(3)
-    healthy.attach_sanitizer(MachineSanitizer())
+    healthy.attach(MachineSanitizer())
     try:
         healthy.charge_comm_round(4.0, dim=1)
         outcomes["honest_machine"] = {"caught": False}

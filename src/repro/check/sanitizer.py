@@ -83,12 +83,6 @@ _MONOTONIC_FIELDS = (
 )
 
 
-def env_enabled() -> bool:
-    """The process-wide default from ``REPRO_SANITIZE`` (default: off)."""
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
-
-
 def env_sample_every() -> int:
     """The sampling stride from ``REPRO_SANITIZE_SAMPLE`` (default: 1)."""
     raw = os.environ.get(ENV_SAMPLE, "").strip()
@@ -180,7 +174,7 @@ class SanitizerStats:
 class MachineSanitizer:
     """Audits one machine's cost accounting and data conservation.
 
-    Attach with :meth:`Hypercube.attach_sanitizer` (or
+    Attach with :meth:`Hypercube.attach` (or
     ``Session(sanitize=True)``, or ``REPRO_SANITIZE=1``) *before* running
     the workload.  The sanitizer survives degraded-mode recovery: the
     session rebinds it to the survivor subcube, and because the subcube
@@ -199,6 +193,9 @@ class MachineSanitizer:
         ``K=1`` (the default) is bit-identical to the unsampled sanitizer,
         pinned by ``tests/test_sanitizer.py``.
     """
+
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "sanitizer"
 
     def __init__(self, sample_every: int = 1) -> None:
         if sample_every < 1:
@@ -692,7 +689,11 @@ class MachineSanitizer:
                 "the protected block's byte image",
             )
 
-    # -- metrics publication -----------------------------------------------------
+    # -- reporting ----------------------------------------------------------------
+
+    def report_data(self) -> Dict[str, Any]:
+        """The sanitizer's part of :meth:`repro.core.session.Session.report_data`."""
+        return {"sanitizer": self.stats.as_dict()}
 
     def publish_metrics(self, registry: Any) -> None:
         """Publish check counts into a metrics registry (read-only)."""
@@ -721,7 +722,6 @@ class MachineSanitizer:
 __all__ = [
     "MachineSanitizer",
     "SanitizerStats",
-    "env_enabled",
     "env_sample_every",
     "ENV_FLAG",
     "ENV_SAMPLE",

@@ -17,16 +17,16 @@ every primitive, collective, remap and routing operation; see
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..env import env_flag
 from ..errors import ConfigError
 from ..machine.cost_model import CostModel, resolve_cost_model
 from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
-from ..obs.tracer import Tracer, env_enabled as trace_env_enabled
+from ..obs.tracer import ENV_FLAG as TRACE_ENV_FLAG, Tracer
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.vector import (
     ColAlignedEmbedding,
@@ -34,6 +34,30 @@ from ..embeddings.vector import (
     VectorOrderEmbedding,
 )
 from .arrays import DistributedMatrix, DistributedVector
+
+
+def _sanitizer():
+    from ..check.sanitizer import MachineSanitizer, env_sample_every
+
+    return MachineSanitizer(sample_every=env_sample_every())
+
+
+def _abft():
+    from ..abft.manager import ABFTManager
+
+    return ABFTManager()
+
+
+def _registry():
+    from ..metrics.registry import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _profiler():
+    from ..metrics.profiler import PhaseProfiler
+
+    return PhaseProfiler()
 
 
 class Session:
@@ -55,14 +79,6 @@ class Session:
     ) -> None:
         cost_model = resolve_cost_model(cost_model)
         self.machine = Hypercube(n_dims, cost_model, plan_cache=plan_cache)
-        # trace=None defers to the REPRO_TRACE environment variable;
-        # trace may also be a pre-built Tracer to share across sessions.
-        if trace is None:
-            trace = trace_env_enabled()
-        if isinstance(trace, Tracer):
-            self.machine.attach_tracer(trace)
-        elif trace:
-            self.machine.attach_tracer(Tracer())
         # faults may be a FaultPlan (wrapped in a fresh injector) or a
         # pre-built FaultInjector; None (default) leaves the machine on the
         # zero-overhead healthy path.  ``retry`` customises the wrapping
@@ -78,55 +94,28 @@ class Session:
                     "retry= only applies when faults= is a FaultPlan; a "
                     "pre-built injector already carries its RetryPolicy"
                 )
-            self.machine.attach_faults(faults)
+            self.machine.attach(faults)
         elif retry is not None:
             raise ConfigError("retry= requires faults= to be set")
-        # sanitize=None defers to REPRO_SANITIZE (read inline so an
-        # unsanitized run never imports the check subsystem); a pre-built
-        # MachineSanitizer may also be passed to share across sessions.
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if sanitize:
-            if isinstance(sanitize, bool):
-                from ..check.sanitizer import MachineSanitizer, env_sample_every
-
-                sanitize = MachineSanitizer(sample_every=env_sample_every())
-            self.machine.attach_sanitizer(sanitize)
-        # abft=True builds a fresh ABFTManager; a pre-built manager may be
-        # passed to tune the registry/scrub policy.  None/False (default)
-        # keeps the machine checksum-free and never imports repro.abft.
-        if abft:
-            if isinstance(abft, bool):
-                from ..abft.manager import ABFTManager
-
-                abft = ABFTManager()
-            self.machine.attach_abft(abft)
-        # metrics=None / profile=None defer to REPRO_METRICS / REPRO_PROFILE
-        # (read inline so a run without them never imports repro.metrics).
-        # The profiler attaches *last* so its proxy wraps an attached
-        # sanitizer (see PhaseProfiler.bind).
-        if metrics is None:
-            metrics = os.environ.get("REPRO_METRICS", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if metrics:
-            if isinstance(metrics, bool):
-                from ..metrics.registry import MetricsRegistry
-
-                metrics = MetricsRegistry()
-            self.machine.attach_metrics(metrics)
-        if profile is None:
-            profile = os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if profile:
-            if isinstance(profile, bool):
-                from ..metrics.profiler import PhaseProfiler
-
-                profile = PhaseProfiler()
-            self.machine.attach_profiler(profile)
+        # The other slots, in Hypercube.SLOTS order: None defers to the
+        # slot's REPRO_* variable, a pre-built attachment (e.g. a Tracer
+        # shared across sessions) attaches as is, and any other value is a
+        # flag: true calls the factory.  The factories import lazily, so a
+        # run that leaves a slot empty never loads its subsystem.
+        for value, env, factory in (
+            (sanitize, "REPRO_SANITIZE", _sanitizer),
+            (abft, None, _abft),
+            (trace, TRACE_ENV_FLAG, Tracer),
+            (metrics, "REPRO_METRICS", _registry),
+            (profile, "REPRO_PROFILE", _profiler),
+        ):
+            if value is None:
+                value = env is not None and env_flag(env)
+            if not hasattr(value, "slot"):
+                if not value:
+                    continue
+                value = factory()
+            self.machine.attach(value)
         # checkpoint= selects the CheckpointPolicy resilient runs use (a
         # CheckpointPolicy, a strategy name, or None for the host-gather
         # default).  Stored raw and coerced lazily by CheckpointStore, so
@@ -173,8 +162,8 @@ class Session:
         Called (normally by :func:`repro.faults.run_resilient`) after a
         :class:`~repro.errors.NodeKilledError`: builds a fresh, healthy
         machine from the surviving subcube, *sharing the parent's counters*
-        so the simulated clock keeps running, re-binds the tracer and
-        translates the fault injector's remaining events into subcube
+        so the simulated clock keeps running, re-binds every attachment
+        and translates the fault injector's remaining events into subcube
         coordinates.  Distributed arrays built on the old machine are dead;
         workloads resume from their last host-side checkpoint
         (:class:`~repro.faults.CheckpointStore`).  Raises
@@ -196,57 +185,45 @@ class Session:
         if injector is not None:
             self._expansion.add_heal_events(injector.extract_heals())
         free_dims, base = largest_healthy_subcube(old)
+        if injector is not None:
+            injector.translate(free_dims, base)
+        new = self._swap_machine("degrade", free_dims, base)
+        self._expansion.record_degrade(free_dims, base)
+        return new
+
+    def _swap_machine(
+        self, event: str, free_dims: Sequence[int], base: int
+    ) -> Hypercube:
+        """Move the session onto the cube ``(free_dims, base)``.
+
+        The successor charges into the same counters, so the simulated
+        clock keeps running.  Every filled slot carries over in
+        ``Hypercube.SLOTS`` order, rebound to the successor; the tracer
+        first records the swap as the instant ``event``.
+        """
+        old = self.machine
         new = Hypercube(
             len(free_dims),
             old.cost_model,
             plan_cache=old.plans.enabled,
             counters=old.counters,
         )
-        tracer = old.tracer
-        if tracer is not None:
-            tracer.instant(
-                "degrade",
+        if old.tracer is not None:
+            old.tracer.instant(
+                event,
                 "fault",
                 old_p=old.p,
                 new_p=new.p,
                 base=base,
                 free_dims=list(free_dims),
             )
-            tracer.rebind(new)
-            new.tracer = tracer
-        if injector is not None:
-            injector.translate(free_dims, base)
-            new.attach_faults(injector)
-        self._rebind_attachments(old, new)
-        self._expansion.record_degrade(free_dims, base)
+        for slot in Hypercube.SLOTS:
+            attachment = getattr(old, slot)
+            if attachment is not None:
+                attachment.rebind(new)
+                setattr(new, slot, attachment)
         self.machine = new
         return new
-
-    def _rebind_attachments(self, old: Hypercube, new: Hypercube) -> None:
-        """Carry sanitizer/ABFT/metrics/profiler across a machine swap."""
-        sanitizer = old.sanitizer
-        if sanitizer is not None:
-            # The survivor charges into the parent's counters, so the
-            # monotonicity audit deliberately spans the swap.
-            sanitizer.rebind(new)
-            new.sanitizer = sanitizer
-        abft = old.abft
-        if abft is not None:
-            # bind() onto a different machine drops the registry: the old
-            # panels describe blocks shaped for the dead machine.
-            new.attach_abft(abft)
-        metrics = old.metrics
-        if metrics is not None:
-            # The snapshot history carries across the swap (same counters,
-            # same simulated clock).
-            metrics.rebind(new)
-            new.metrics = metrics
-        profiler = old.profiler
-        if profiler is not None:
-            # Rebinding also rewraps the survivor's sanitizer (which is the
-            # same proxy object, carried over above).
-            profiler.rebind(new)
-            new.profiler = profiler
 
     def promotion_ready(self) -> bool:
         """Whether a strictly larger healthy cube is available right now.
@@ -314,26 +291,7 @@ class Session:
                 "available for promotion"
             )
         free_dims, base = target
-        old = self.machine
-        new = Hypercube(
-            len(free_dims),
-            old.cost_model,
-            plan_cache=old.plans.enabled,
-            counters=old.counters,
-        )
-        tracer = old.tracer
-        if tracer is not None:
-            tracer.instant(
-                "promote",
-                "fault",
-                old_p=old.p,
-                new_p=new.p,
-                base=base,
-                free_dims=list(free_dims),
-            )
-            tracer.rebind(new)
-            new.tracer = tracer
-        injector = old.faults
+        injector = self.machine.faults
         if injector is not None:
             # Lift pending events from subcube coordinates to root
             # coordinates, then compress into the promoted cube.  The pid
@@ -341,14 +299,12 @@ class Session:
             injector.untranslate(led.embed_dims, led.embed_base)
             injector.machine = led.root
             injector.translate(free_dims, base)
-            new.attach_faults(injector)
             injector.stats.expansions += 1
-        self._rebind_attachments(old, new)
+        new = self._swap_machine("promote", free_dims, base)
         led.record_promote(free_dims, base)
         # Each promotion consumes the heals that justified it; growing
         # further requires further repairs to land.
         led.heal_applied = False
-        self.machine = new
         return new
 
     # -- array factories ----------------------------------------------------
@@ -462,105 +418,106 @@ class Session:
             self.machine.sanitizer.resync()
 
     def report(self) -> str:
-        """Human-readable accounting summary."""
-        c = self.machine.counters
+        """Human-readable accounting summary, rendered from :meth:`report_data`."""
+        d = self.report_data()
         lines = [
-            f"simulated machine : p={self.machine.p} (n={self.machine.n}), "
-            f"cost model {self.machine.cost_model}",
-            f"simulated time    : {c.time:.1f} ticks",
-            f"flops             : {c.flops:.0f}",
-            f"elements moved    : {c.elements_transferred:.0f}",
-            f"comm rounds       : {c.comm_rounds}",
-            f"local moves       : {c.local_moves:.0f}",
+            f"simulated machine : p={d['p']} (n={d['n']}), "
+            f"cost model {d['cost_model']}",
+            f"simulated time    : {d['time']:.1f} ticks",
+            f"flops             : {d['flops']:.0f}",
+            f"elements moved    : {d['elements_transferred']:.0f}",
+            f"comm rounds       : {d['comm_rounds']}",
+            f"local moves       : {d['local_moves']:.0f}",
         ]
-        plans = self.machine.plans
-        if plans.enabled:
+        plans = d["plan_cache"]
+        if plans["enabled"]:
             lines.append(
-                f"plan cache        : {len(plans)} plans, "
-                f"{plans.hits} hits / {plans.misses} misses / "
-                f"{plans.evictions} evictions"
+                f"plan cache        : {plans['entries']} plans, "
+                f"{plans['hits']} hits / {plans['misses']} misses / "
+                f"{plans['evictions']} evictions"
             )
         else:
             lines.append("plan cache        : disabled")
-        injector = self.machine.faults
-        if injector is not None:
-            st = injector.stats
+        st = d.get("faults")
+        if st is not None:
             lines.append(
-                f"faults            : {st.node_kills} node kills, "
-                f"{st.link_kills} link kills, {st.drops} drops / "
-                f"{st.retries} retries, {st.detour_rounds} detour rounds, "
-                f"{st.recoveries} recoveries"
+                f"faults            : {st['node_kills']} node kills, "
+                f"{st['link_kills']} link kills, {st['drops']} drops / "
+                f"{st['retries']} retries, {st['detour_rounds']} detour "
+                f"rounds, {st['recoveries']} recoveries"
             )
             if (
-                st.link_slows
-                or st.node_slows
-                or st.flaky_links
-                or st.straggler_detours
+                st["link_slows"]
+                or st["node_slows"]
+                or st["flaky_links"]
+                or st["straggler_detours"]
             ):
                 lines.append(
-                    f"gray faults       : {st.link_slows} slow links, "
-                    f"{st.node_slows} slow nodes, {st.flaky_links} flaky "
-                    f"links / {st.flaky_drops} drops, "
-                    f"{st.hedged_retransmits} hedged, "
-                    f"{st.slow_rounds} stretched rounds "
-                    f"(+{st.slow_time:.1f} ticks), "
-                    f"{st.straggler_detours} straggler detours, "
-                    f"{st.gray_recoveries} recoveries"
+                    f"gray faults       : {st['link_slows']} slow links, "
+                    f"{st['node_slows']} slow nodes, {st['flaky_links']} "
+                    f"flaky links / {st['flaky_drops']} drops, "
+                    f"{st['hedged_retransmits']} hedged, "
+                    f"{st['slow_rounds']} stretched rounds "
+                    f"(+{st['slow_time']:.1f} ticks), "
+                    f"{st['straggler_detours']} straggler detours, "
+                    f"{st['gray_recoveries']} recoveries"
                 )
-            if st.node_heals or st.link_heals or st.expansions:
+            if st["node_heals"] or st["link_heals"] or st["expansions"]:
                 lines.append(
-                    f"re-expansion      : {st.node_heals} node heals, "
-                    f"{st.link_heals} link heals, "
-                    f"{st.expansions} promotions"
+                    f"re-expansion      : {st['node_heals']} node heals, "
+                    f"{st['link_heals']} link heals, "
+                    f"{st['expansions']} promotions"
                 )
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
+        if "sanitizer" in d:
             lines.append(
-                f"sanitizer         : {sanitizer.stats.total} checks passed"
+                f"sanitizer         : {d['sanitizer']['total']} checks passed"
             )
-        abft = self.machine.abft
-        if abft is not None:
-            st = abft.stats
+        ab = d.get("abft")
+        if ab is not None:
             lines.append(
-                f"abft              : {st.protected} protected / "
-                f"{st.verifies} verified, {c.abft_detected} detected, "
-                f"{c.abft_corrected} corrected, {c.abft_recomputed} replays, "
-                f"{st.scrubs} scrubs, {st.wire_retransmits} wire retransmits"
+                f"abft              : {ab['protected']} protected / "
+                f"{ab['verifies']} verified, {ab['detected']} detected, "
+                f"{ab['corrected']} corrected, {ab['recomputed']} replays, "
+                f"{ab['scrubs']} scrubs, {ab['wire_retransmits']} wire "
+                f"retransmits"
             )
-        breakdown = c.phase_breakdown()
-        if breakdown:
+        if d["phase_breakdown"]:
             lines.append("phase breakdown:")
-            for name, t in breakdown:
-                share = 100.0 * t / c.time if c.time else 0.0
-                lines.append(f"  {name:<24s} {t:>14.1f}  ({share:5.1f}%)")
-        tracer = self.machine.tracer
-        if tracer is not None:
-            summary = tracer.primitive_summary()
-            if summary:
-                lines.append("primitive breakdown:")
+            for row in d["phase_breakdown"]:
+                t = row["time"]
+                share = 100.0 * t / d["time"] if d["time"] else 0.0
+                lines.append(f"  {row['phase']:<24s} {t:>14.1f}  ({share:5.1f}%)")
+        summary = d.get("primitive_breakdown")
+        if summary:
+            lines.append("primitive breakdown:")
+            lines.append(
+                f"  {'name':<16s} {'count':>5s} {'time':>12s} "
+                f"{'flops':>10s} {'elems':>10s} {'rounds':>6s} "
+                f"{'cong p50':>9s} {'cong max':>9s}"
+            )
+            for name, row in summary.items():
                 lines.append(
-                    f"  {'name':<16s} {'count':>5s} {'time':>12s} "
-                    f"{'flops':>10s} {'elems':>10s} {'rounds':>6s} "
-                    f"{'cong p50':>9s} {'cong max':>9s}"
+                    f"  {name:<16s} {row['count']:>5d} "
+                    f"{row['time']:>12.1f} {row['flops']:>10.0f} "
+                    f"{row['elements']:>10.0f} {row['rounds']:>6d} "
+                    f"{row['congestion_p50']:>9.1f} "
+                    f"{row['congestion_max']:>9.1f}"
                 )
-                for name, row in summary.items():
-                    lines.append(
-                        f"  {name:<16s} {row['count']:>5d} "
-                        f"{row['time']:>12.1f} {row['flops']:>10.0f} "
-                        f"{row['elements']:>10.0f} {row['rounds']:>6d} "
-                        f"{row['congestion_p50']:>9.1f} "
-                        f"{row['congestion_max']:>9.1f}"
-                    )
         return "\n".join(lines)
 
     def report_data(self) -> dict:
-        """The :meth:`report` content as a JSON-serialisable dict."""
-        c = self.machine.counters
-        plans = self.machine.plans
+        """The accounting summary as a JSON-serialisable dict.
+
+        The counters and plan cache, then each filled slot's own
+        ``report_data()`` in ``Hypercube.SLOTS`` order.
+        """
+        machine = self.machine
+        c = machine.counters
+        plans = machine.plans
         data = {
-            "p": self.machine.p,
-            "n": self.machine.n,
-            "cost_model": str(self.machine.cost_model),
+            "p": machine.p,
+            "n": machine.n,
+            "cost_model": str(machine.cost_model),
             "time": c.time,
             "flops": c.flops,
             "elements_transferred": c.elements_transferred,
@@ -581,30 +538,10 @@ class Session:
                 {"phase": name, "time": t} for name, t in c.phase_breakdown()
             ],
         }
-        injector = self.machine.faults
-        if injector is not None:
-            data["faults"] = injector.stats.as_dict()
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            data["sanitizer"] = sanitizer.stats.as_dict()
-        abft = self.machine.abft
-        if abft is not None:
-            data["abft"] = dict(
-                abft.stats.as_dict(),
-                detected=c.abft_detected,
-                corrected=c.abft_corrected,
-                recomputed=c.abft_recomputed,
-            )
-        tracer = self.machine.tracer
-        if tracer is not None:
-            data["primitive_breakdown"] = tracer.primitive_summary()
-            data["congestion"] = tracer.congestion.summary()
-        registry = self.machine.metrics
-        if registry is not None:
-            data["metrics"] = registry.collect()
-        profiler = self.machine.profiler
-        if profiler is not None:
-            data["profile"] = profiler.as_dict()
+        for slot in Hypercube.SLOTS:
+            attachment = getattr(machine, slot)
+            if attachment is not None:
+                data.update(attachment.report_data())
         return data
 
     def __repr__(self) -> str:

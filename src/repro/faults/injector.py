@@ -1,6 +1,6 @@
 """The fault injector: applies a :class:`FaultPlan` to a live machine.
 
-Attach with :meth:`Hypercube.attach_faults` (or ``Session(...,
+Attach with :meth:`Hypercube.attach` (or ``Session(...,
 faults=plan)``).  The machine polls the injector at every charged
 communication round; events whose scheduled simulated time has arrived are
 applied in order:
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import bisect
 import collections
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -164,32 +164,7 @@ class FaultStats:
     )
 
     def as_dict(self) -> dict:
-        return {
-            "node_kills": self.node_kills,
-            "link_kills": self.link_kills,
-            "drops": self.drops,
-            "retries": self.retries,
-            "detour_rounds": self.detour_rounds,
-            "backoff_time": self.backoff_time,
-            "recoveries": self.recoveries,
-            "remapped_arrays": self.remapped_arrays,
-            "recovery_ticks": self.recovery_ticks,
-            "bit_flips": self.bit_flips,
-            "link_corruptions": self.link_corruptions,
-            "sdc_skipped": self.sdc_skipped,
-            "link_slows": self.link_slows,
-            "node_slows": self.node_slows,
-            "gray_recoveries": self.gray_recoveries,
-            "slow_rounds": self.slow_rounds,
-            "slow_time": self.slow_time,
-            "flaky_links": self.flaky_links,
-            "flaky_drops": self.flaky_drops,
-            "hedged_retransmits": self.hedged_retransmits,
-            "straggler_detours": self.straggler_detours,
-            "node_heals": self.node_heals,
-            "link_heals": self.link_heals,
-            "expansions": self.expansions,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def publish_metrics(self, registry) -> None:
         """Publish fault totals into a metrics registry (read-only).
@@ -331,6 +306,9 @@ class FaultInjector:
     whole resilient run.
     """
 
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "faults"
+
     def __init__(
         self,
         plan: FaultPlan,
@@ -365,8 +343,14 @@ class FaultInjector:
         self._memory: "collections.deque" = collections.deque(maxlen=16)
 
     def bind(self, machine: "Hypercube") -> None:
-        """Bind to a machine (called by ``Hypercube.attach_faults``)."""
+        """Bind to a machine (called by ``Hypercube.attach``)."""
         self.machine = machine
+
+    rebind = bind
+
+    def report_data(self) -> dict:
+        """The injector's part of :meth:`repro.core.session.Session.report_data`."""
+        return {"faults": self.stats.as_dict()}
 
     def publish_metrics(self, registry) -> None:
         """Delegate to the stats record (the registry walks attachments)."""

@@ -57,6 +57,14 @@ class Hypercube:
     #: per-lane; the scalar machine pays one attribute read per site.
     n_runs: Optional[int] = None
 
+    #: The optional subsystems a machine can carry, in bind order (the
+    #: profiler wraps the sanitizer, so it binds after it).  Each
+    #: attachment class names its ``slot`` and implements
+    #: ``bind(machine)``, ``rebind(machine)`` (move onto the successor of a
+    #: degrade or promote) and ``report_data()`` (its keys of
+    #: ``Session.report_data``, which follows this order).
+    SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics", "profiler")
+
     def __init__(
         self,
         n: int,
@@ -124,67 +132,17 @@ class Hypercube:
         # per-processor booleans; nested contexts AND together.
         self._context_stack: list = []
 
-    # -- observability ---------------------------------------------------------
+    # -- attachments -----------------------------------------------------------
 
-    def attach_tracer(self, tracer: Any) -> Any:
-        """Attach an :class:`repro.obs.Tracer` (returns it for chaining).
+    def attach(self, attachment: Any) -> Any:
+        """Bind ``attachment`` and fill the slot it names (returns it).
 
-        The tracer observes charges, spans and routing rounds; it never
-        charges the machine itself.  Pass ``None`` to detach.
+        ``attachment.slot`` is one of :attr:`SLOTS`.  Detach by setting
+        the slot back to ``None``.
         """
-        if tracer is not None:
-            tracer.bind(self)
-        self.tracer = tracer
-        return tracer
-
-    def attach_sanitizer(self, sanitizer: Any) -> Any:
-        """Attach a :class:`repro.check.MachineSanitizer` (returns it).
-
-        The sanitizer audits conservation/accounting invariants at every
-        charged operation; it never charges the machine itself, so costs
-        stay bit-identical sanitized or not.  Pass ``None`` to detach.
-        """
-        if sanitizer is not None:
-            sanitizer.bind(self)
-        self.sanitizer = sanitizer
-        return sanitizer
-
-    def attach_abft(self, manager: Any) -> Any:
-        """Attach a :class:`repro.abft.ABFTManager` (returns it).
-
-        The manager maintains row+column checksum panels for every
-        checksum-embedded array, charging maintenance and verification
-        honestly on the simulated clock.  With it attached, every full
-        exchange also carries one checksum word per block (wire
-        protection).  Pass ``None`` to detach.
-        """
-        if manager is not None:
-            manager.bind(self)
-        self.abft = manager
-        return manager
-
-    def attach_metrics(self, registry: Any) -> Any:
-        """Attach a :class:`repro.metrics.MetricsRegistry` (returns it).
-
-        The registry snapshots subsystem counters on phase exits and never
-        charges the machine.  Pass ``None`` to detach.
-        """
-        if registry is not None:
-            registry.bind(self)
-        self.metrics = registry
-        return registry
-
-    def attach_profiler(self, profiler: Any) -> Any:
-        """Attach a :class:`repro.metrics.PhaseProfiler` (returns it).
-
-        The profiler attributes host wall-clock time over phase
-        boundaries; attach it *after* the sanitizer so audit calls are
-        wrapped (see :meth:`PhaseProfiler.bind`).  Pass ``None`` to detach.
-        """
-        if profiler is not None:
-            profiler.bind(self)
-        self.profiler = profiler
-        return profiler
+        attachment.bind(self)
+        setattr(self, attachment.slot, attachment)
+        return attachment
 
     # -- fault state -----------------------------------------------------------
 
@@ -197,18 +155,6 @@ class Hypercube:
     def gray_active(self) -> bool:
         """True while any gray degradation (slow link/node) is in force."""
         return bool(self._slow_links_by_dim) or bool(self._slow_nodes)
-
-    def attach_faults(self, injector: Any) -> Any:
-        """Attach a :class:`repro.faults.FaultInjector` (returns it).
-
-        The injector is polled at every charged communication round and
-        applies its scheduled fault events against the simulated clock.
-        Pass ``None`` to detach.
-        """
-        if injector is not None:
-            injector.bind(self)
-        self.faults = injector
-        return injector
 
     def bump_epoch(self) -> None:
         """Advance the topology epoch after a permanent fault.

@@ -37,13 +37,13 @@ Hit/miss/eviction counts live on ``machine.counters`` (outside
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..env import env_flag
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -61,12 +61,6 @@ ENV_FLAG = "REPRO_PLAN_CACHE"
 #: and scalars), so the bound exists to keep pathological workloads that
 #: sweep thousands of distinct embeddings from growing without limit.
 DEFAULT_MAXSIZE = 512
-
-
-def env_enabled() -> bool:
-    """The process-wide default from ``REPRO_PLAN_CACHE`` (default: on)."""
-    raw = os.environ.get(ENV_FLAG, "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 def readonly(array: np.ndarray) -> np.ndarray:
@@ -137,7 +131,9 @@ class PlanCache:
             raise ConfigError(f"plan cache maxsize must be >= 1, got {maxsize}")
         self.machine = machine
         self.maxsize = maxsize
-        self.enabled = env_enabled() if enabled is None else bool(enabled)
+        self.enabled = (
+            env_flag(ENV_FLAG, default=True) if enabled is None else bool(enabled)
+        )
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     # -- bookkeeping ---------------------------------------------------------

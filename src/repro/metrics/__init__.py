@@ -19,10 +19,8 @@ default, read-only, and bit-identical simulated costs on or off.
 
 from .profiler import ENV_FLAG as PROFILE_ENV_FLAG
 from .profiler import PhaseProfiler
-from .profiler import env_enabled as profile_env_enabled
 from .registry import ENV_FLAG as METRICS_ENV_FLAG
 from .registry import Metric, MetricsRegistry
-from .registry import env_enabled as metrics_env_enabled
 from .timing import TimedRun, best_of
 
 __all__ = [
@@ -33,6 +31,4 @@ __all__ = [
     "best_of",
     "METRICS_ENV_FLAG",
     "PROFILE_ENV_FLAG",
-    "metrics_env_enabled",
-    "profile_env_enabled",
 ]

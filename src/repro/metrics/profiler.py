@@ -45,14 +45,6 @@ ROOT = "(unattributed)"
 MAX_SAMPLES = 4096
 
 
-def env_enabled() -> bool:
-    """The process-wide default from ``REPRO_PROFILE`` (default: off)."""
-    import os
-
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
-
-
 class _ProfiledProxy:
     """Wraps an attachment so every method call is timed under one label.
 
@@ -109,6 +101,9 @@ class PhaseProfiler:
         :func:`time.perf_counter`.  Tests inject a deterministic counter.
     """
 
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "profiler"
+
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         self.machine = None
@@ -128,7 +123,8 @@ class PhaseProfiler:
         """Bind to a machine; wraps an attached sanitizer in a timing proxy.
 
         Attach the profiler *after* the sanitizer so the proxy sees it
-        (``Session`` does this); a sanitizer attached later is not wrapped.
+        (``Hypercube.SLOTS`` order, which ``Session`` follows); a sanitizer
+        attached later is not wrapped.
         """
         if self.machine is not None and self.machine is not machine:
             raise ConfigError(
@@ -316,6 +312,10 @@ class PhaseProfiler:
             "categories": self.category_breakdown(),
         }
 
+    def report_data(self) -> Dict[str, Any]:
+        """The profiler's part of :meth:`repro.core.session.Session.report_data`."""
+        return {"profile": self.as_dict()}
+
     def format_table(self, top_n: int = 10) -> str:
         """The per-phase top-N table as printable text."""
         lines = [
@@ -343,7 +343,6 @@ class PhaseProfiler:
 __all__ = [
     "PhaseProfiler",
     "ROOT",
-    "env_enabled",
     "ENV_FLAG",
     "MAX_SAMPLES",
 ]

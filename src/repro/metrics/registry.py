@@ -52,14 +52,6 @@ _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 _KINDS = ("counter", "gauge")
 
 
-def env_enabled() -> bool:
-    """The process-wide default from ``REPRO_METRICS`` (default: off)."""
-    import os
-
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
-
-
 @dataclass(frozen=True)
 class Metric:
     """One registered metric: its name, kind and documentation."""
@@ -73,11 +65,14 @@ class Metric:
 class MetricsRegistry:
     """A flat metric namespace bound to one machine.
 
-    Attach with :meth:`Hypercube.attach_metrics` (or
+    Attach with :meth:`Hypercube.attach` (or
     ``Session(metrics=True)``, or ``REPRO_METRICS=1``).  The registry
     survives degraded-mode recovery: the session rebinds it to the
     survivor subcube and the snapshot history keeps accumulating.
     """
+
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "metrics"
 
     def __init__(self, max_snapshots: int = MAX_SNAPSHOTS) -> None:
         if max_snapshots < 1:
@@ -178,6 +173,10 @@ class MetricsRegistry:
             if attachment is not None:
                 publishers.append(attachment)
         return self.collect_from(*publishers)
+
+    def report_data(self) -> Dict[str, Any]:
+        """The registry's part of :meth:`repro.core.session.Session.report_data`."""
+        return {"metrics": self.collect()}
 
     # -- snapshots on the simulated clock -------------------------------------
 
@@ -302,7 +301,6 @@ class MetricsRegistry:
 __all__ = [
     "MetricsRegistry",
     "Metric",
-    "env_enabled",
     "ENV_FLAG",
     "SCHEMA",
     "MAX_SNAPSHOTS",

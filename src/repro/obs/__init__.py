@@ -1,7 +1,7 @@
 """Observability for the simulated machine: tracing, congestion, exporters.
 
 Turn it on per session (``Session(n, trace=True)``), per machine
-(``machine.attach_tracer(Tracer())``) or process-wide (``REPRO_TRACE=1``);
+(``machine.attach(Tracer())``) or process-wide (``REPRO_TRACE=1``);
 the default is a null tracer whose only cost is one branch per
 instrumented call site, with cost totals bit-identical either way.
 
@@ -19,7 +19,7 @@ from .export import (
     validate_chrome_trace,
     validate_chrome_trace_file,
 )
-from .tracer import ENV_FLAG, Span, Tracer, env_enabled, maybe_span
+from .tracer import ENV_FLAG, Span, Tracer, maybe_span
 
 __all__ = [
     "CongestionAggregator",
@@ -27,7 +27,6 @@ __all__ = [
     "Span",
     "Tracer",
     "chrome_trace_events",
-    "env_enabled",
     "maybe_span",
     "to_chrome_trace",
     "to_jsonl",

@@ -25,7 +25,6 @@ Design constraints (pinned by ``tests/test_obs.py``):
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
@@ -41,12 +40,6 @@ ENV_FLAG = "REPRO_TRACE"
 
 #: Shared re-entrant no-op context used when no tracer is attached.
 NULL_CONTEXT = contextlib.nullcontext()
-
-
-def env_enabled() -> bool:
-    """The process-wide default from ``REPRO_TRACE`` (default: off)."""
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
 
 
 def maybe_span(machine: "Hypercube", name: str, category: str, **attrs: Any):
@@ -139,12 +132,15 @@ class Span:
 class Tracer:
     """Collects a span tree plus congestion statistics from one machine.
 
-    Attach with :meth:`Hypercube.attach_tracer` (or ``Session(trace=True)``)
+    Attach with :meth:`Hypercube.attach` (or ``Session(trace=True)``)
     *before* running the workload.  Query ``roots``, :meth:`iter_spans`,
     :meth:`find`, :meth:`primitive_summary` afterwards, or export with
     :func:`repro.obs.export.to_chrome_trace` / :func:`~repro.obs.export.
     to_jsonl`.
     """
+
+    #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
+    slot = "tracer"
 
     def __init__(self) -> None:
         self.machine: Optional["Hypercube"] = None
@@ -156,7 +152,7 @@ class Tracer:
     # -- binding --------------------------------------------------------------
 
     def bind(self, machine: "Hypercube") -> None:
-        """Bind to a machine (called by ``Hypercube.attach_tracer``)."""
+        """Bind to a machine (called by ``Hypercube.attach``)."""
         if self.machine is not None and self.machine is not machine:
             raise ConfigError("tracer is already bound to a different machine")
         self.machine = machine
@@ -311,3 +307,10 @@ class Tracer:
                 summary[name]["congestion_p50"] = float(np.percentile(cs, 50))
                 summary[name]["congestion_max"] = float(max(cs))
         return summary
+
+    def report_data(self) -> Dict[str, Any]:
+        """The tracer's part of :meth:`repro.core.session.Session.report_data`."""
+        return {
+            "primitive_breakdown": self.primitive_summary(),
+            "congestion": self.congestion.summary(),
+        }

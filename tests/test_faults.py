@@ -172,7 +172,7 @@ class TestInjector:
     def test_events_fire_at_their_simulated_time(self):
         m = Hypercube(3, CostModel.unit())
         inj = FaultInjector(FaultPlan([LinkKill(50.0, dim=0, pid=0)]))
-        m.attach_faults(inj)
+        m.attach(inj)
         while m.counters.time < 49.0:
             m.charge_comm_round(1.0, dim=1)
         assert m.link_alive(0, 0)  # not yet
@@ -188,7 +188,7 @@ class TestInjector:
         inj = FaultInjector(
             FaultPlan([LinkDrop(0.0, dim=0, count=2)]), retry=retry
         )
-        m.attach_faults(inj)
+        m.attach(inj)
 
         clean = Hypercube(2, CostModel.unit())
         clean.charge_comm_round(4.0, dim=0)
@@ -217,7 +217,7 @@ class TestInjector:
                                     link_kills=1, drops=2)
             m = Hypercube(3, CostModel.unit())
             inj = FaultInjector(plan)
-            m.attach_faults(inj)
+            m.attach(inj)
             for _ in range(40):
                 m.charge_comm_round(4.0, dim=1)
                 m.charge_comm_round(4.0, dim=2)
@@ -235,7 +235,9 @@ class TestInjector:
 class TestPlanCacheEpoch:
     def test_epoch_invalidates_cached_plans(self):
         """A cached remap plan must not survive a topology change."""
-        s = Session(3, "unit")
+        # The sanitizer's own plan lookups would count here; its epoch
+        # audit (on_plan_hit) checks stale hits in sanitized runs.
+        s = Session(3, "unit", sanitize=False)
         if not s.machine.plans.enabled:
             pytest.skip("plan cache disabled (REPRO_PLAN_CACHE=0)")
         A = s.matrix(np.arange(64, dtype=float).reshape(8, 8))

@@ -206,7 +206,7 @@ class TestGrayInjection:
                                    duration=100.0)])
         inj = FaultInjector(plan)
         m = Hypercube(3)
-        m.attach_faults(inj)
+        m.attach(inj)
         m.charge_comm_round(8.0, dim=1)  # clock advances past t=5
         m.charge_comm_round(8.0, dim=1)  # next poll fires the event
         assert m.gray_active
@@ -222,7 +222,7 @@ class TestGrayInjection:
         plan = FaultPlan([NodeSlow(0.0, pid=1, factor=2.0)])
         inj = FaultInjector(plan)
         m = Hypercube(3)
-        m.attach_faults(inj)
+        m.attach(inj)
         for _ in range(50):
             m.charge_comm_round(8.0, dim=0)
         assert m.gray_active
@@ -235,7 +235,7 @@ class TestGrayInjection:
             plan = FaultPlan([LinkFlaky(0.0, dim=0, drop_p=0.5, seed=42)])
             inj = FaultInjector(plan)
             m = Hypercube(3)
-            m.attach_faults(inj)
+            m.attach(inj)
             for _ in range(40):
                 m.charge_comm_round(4.0, dim=0)
             return m.counters.time, inj.stats.flaky_drops, inj.stats.retries
@@ -251,7 +251,7 @@ class TestGrayInjection:
                                     seed=1)])
         inj = FaultInjector(plan)
         m = Hypercube(3)
-        m.attach_faults(inj)
+        m.attach(inj)
         while m.counters.time <= 55.0:
             m.charge_comm_round(4.0, dim=0)
         drops_at_expiry = inj.stats.flaky_drops
@@ -265,7 +265,7 @@ class TestGrayInjection:
             plan = FaultPlan([LinkFlaky(0.0, dim=0, drop_p=1.0, seed=3)])
             inj = FaultInjector(plan, retry=RetryPolicy(hedge=hedge))
             m = Hypercube(3)
-            m.attach_faults(inj)
+            m.attach(inj)
             for _ in range(10):
                 m.charge_comm_round(4.0, dim=0)
             return m.counters, inj.stats

@@ -75,15 +75,15 @@ class TestNullDefault:
 
     def test_registry_rejects_second_machine(self):
         r = MetricsRegistry()
-        Hypercube(2).attach_metrics(r)
+        Hypercube(2).attach(r)
         with pytest.raises(ConfigError):
-            Hypercube(3).attach_metrics(r)
+            Hypercube(3).attach(r)
 
     def test_profiler_rejects_second_machine(self):
         p = PhaseProfiler()
-        Hypercube(2).attach_profiler(p)
+        Hypercube(2).attach(p)
         with pytest.raises(ConfigError):
-            Hypercube(3).attach_profiler(p)
+            Hypercube(3).attach(p)
 
 
 # -- registry: names, kinds, publication --------------------------------------

@@ -17,11 +17,11 @@ from repro import Session
 from repro import workloads as W
 from repro.algorithms import gaussian, simplex
 from repro.algorithms.naive import NaiveVector
+from repro.env import env_flag
 from repro.machine.hypercube import Hypercube
 from repro.obs import (
     Tracer,
     chrome_trace_events,
-    env_enabled,
     maybe_span,
     to_chrome_trace,
     to_jsonl,
@@ -66,34 +66,34 @@ class TestNullDefault:
 
     def test_attach_and_detach(self):
         m = Hypercube(2)
-        t = m.attach_tracer(Tracer())
+        t = m.attach(Tracer())
         assert m.tracer is t
         assert t.machine is m
-        m.attach_tracer(None)
+        m.tracer = None
         assert m.tracer is None
 
     def test_tracer_rejects_second_machine(self):
         t = Tracer()
-        Hypercube(2).attach_tracer(t)
+        Hypercube(2).attach(t)
         with pytest.raises(ValueError):
-            Hypercube(3).attach_tracer(t)
+            Hypercube(3).attach(t)
 
 
 class TestEnvFlag:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv(ENV_FLAG, raising=False)
-        assert not env_enabled()
+        assert not env_flag(ENV_FLAG)
 
     @pytest.mark.parametrize("value", ["1", "on", "true", "YES"])
     def test_truthy_values(self, monkeypatch, value):
         monkeypatch.setenv(ENV_FLAG, value)
-        assert env_enabled()
+        assert env_flag(ENV_FLAG)
         assert Session(2).tracer is not None
 
     @pytest.mark.parametrize("value", ["", "0", "off", "no"])
     def test_falsy_values(self, monkeypatch, value):
         monkeypatch.setenv(ENV_FLAG, value)
-        assert not env_enabled()
+        assert not env_flag(ENV_FLAG)
         assert Session(2).tracer is None
 
     def test_constructor_overrides_env(self, monkeypatch):

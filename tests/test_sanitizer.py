@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 
 from repro import Session
-from repro.check import MachineSanitizer, env_enabled
+from repro.check import MachineSanitizer
 from repro.check.runner import sanitizer_selftest
+from repro.env import env_flag
 from repro.errors import SanitizerError
 from repro.machine import CostModel, Hypercube
 from repro import workloads
 
 
-def test_sanitizer_is_null_by_default():
+def test_sanitizer_is_null_by_default(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     session = Session(4)
     assert session.sanitizer is None
     assert session.machine.sanitizer is None
@@ -36,11 +38,11 @@ def test_session_sanitize_flag_attaches():
 
 def test_env_flag_enables(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert env_enabled()
+    assert env_flag("REPRO_SANITIZE")
     session = Session(3)
     assert session.sanitizer is not None
     monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert not env_enabled()
+    assert not env_flag("REPRO_SANITIZE")
     assert Session(3).sanitizer is None
 
 
@@ -56,7 +58,7 @@ def test_mischarged_round_time_is_caught():
             self.counters.charge_transfer(volume * self.p * rounds, rounds, 0.0)
 
     machine = DropsStartup(3)
-    machine.attach_sanitizer(MachineSanitizer())
+    machine.attach(MachineSanitizer())
     with pytest.raises(SanitizerError, match=r"round-time"):
         machine.charge_comm_round(4.0, dim=1)
 
@@ -70,7 +72,7 @@ def test_lost_elements_are_caught():
             )
 
     machine = LosesElements(3)
-    machine.attach_sanitizer(MachineSanitizer())
+    machine.attach(MachineSanitizer())
     with pytest.raises(SanitizerError, match=r"round-conservation"):
         machine.charge_comm_round(4.0, dim=1)
 
@@ -128,9 +130,9 @@ def test_sanitizer_runs_checks_and_reports():
 
 def test_cannot_rebind_to_second_machine():
     sanitizer = MachineSanitizer()
-    Hypercube(3).attach_sanitizer(sanitizer)
+    Hypercube(3).attach(sanitizer)
     with pytest.raises(SanitizerError):
-        Hypercube(3).attach_sanitizer(sanitizer)
+        Hypercube(3).attach(sanitizer)
 
 
 def test_sanitizer_survives_degrade():
@@ -169,7 +171,12 @@ class TestSampledChecking:
     @staticmethod
     def _run(sample_every):
         A, b, _ = workloads.diagonally_dominant_system(14, 5)
-        s = Session(4, sanitize=MachineSanitizer(sample_every=sample_every))
+        # trace=False: the tracer's span snapshots would count too.
+        s = Session(
+            4,
+            trace=False,
+            sanitize=MachineSanitizer(sample_every=sample_every),
+        )
         from repro.algorithms import gaussian
 
         res = gaussian.solve(s.matrix(A), b)
@@ -223,7 +230,7 @@ class TestSampledChecking:
     def test_unsampled_observe_is_a_noop(self):
         sanitizer = MachineSanitizer()
         m = Hypercube(3)
-        m.attach_sanitizer(sanitizer)
+        m.attach(sanitizer)
         before = sanitizer._last
         assert sanitizer.observe(m, sampled=False) is None
         assert sanitizer._last is before
@@ -238,7 +245,7 @@ class TestSampledChecking:
         """Structural hooks (plan replay, epoch) stay unsampled."""
         sanitizer = MachineSanitizer(sample_every=1000)
         m = Hypercube(3)
-        m.attach_sanitizer(sanitizer)
+        m.attach(sanitizer)
         with pytest.raises(SanitizerError):
             sanitizer.on_epoch_bump(m, m.epoch + 5)
 

@@ -132,7 +132,7 @@ class TestInjectorEdgeCases:
             LinkDrop(50.0, dim=1, count=1),
             LinkDrop(50.0, dim=2, count=1),
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         _advance(m, 51.0)
         m.charge_comm_round(4.0, dim=1)
         m.charge_comm_round(4.0, dim=2)
@@ -143,7 +143,7 @@ class TestInjectorEdgeCases:
     def test_time_zero_event_fires_on_first_poll(self):
         m = Hypercube(3, CostModel.unit())
         inj = FaultInjector(FaultPlan([LinkKill(0.0, dim=0, pid=0)]))
-        m.attach_faults(inj)
+        m.attach(inj)
         assert m.link_alive(0, 0)  # nothing has polled yet
         m.charge_comm_round(1.0, dim=1)
         assert not m.link_alive(0, 0)
@@ -155,7 +155,7 @@ class TestInjectorEdgeCases:
             NodeKill(10.0, pid=5),
             NodeKill(20.0, pid=5),  # already dead: not double-counted
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         _advance(m, 25.0)
         inj.poll(strict=False)
         assert not m.node_alive(5)
@@ -168,7 +168,7 @@ class TestInjectorEdgeCases:
             NodeKill(10.0, pid=2),
             BitFlip(20.0, pid=2, slot=0, bit=0, target=0),
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         pv = PVar(m, np.arange(m.p, dtype=np.float64))
         before = pv.data.copy()
         _advance(m, 25.0)
@@ -180,7 +180,7 @@ class TestInjectorEdgeCases:
     def test_bit_flip_with_empty_registry_is_skipped(self):
         m = Hypercube(2, CostModel.unit())
         inj = FaultInjector(FaultPlan([BitFlip(0.0, pid=1)]))
-        m.attach_faults(inj)
+        m.attach(inj)
         inj.poll(strict=False)  # no PVar was ever created on this machine
         assert inj.stats.bit_flips == 0
         assert inj.stats.sdc_skipped == 1
@@ -191,7 +191,7 @@ class TestInjectorEdgeCases:
         inj = FaultInjector(FaultPlan([
             BitFlip(10.0, pid=1, slot=0, bit=7, target=0)
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         pv = PVar(m, np.ones((m.p, 4)))
         captured = pv.data
         _advance(m, 15.0)
@@ -205,7 +205,7 @@ class TestInjectorEdgeCases:
         inj = FaultInjector(FaultPlan([
             BitFlip(10.0, pid=0, slot=0, bit=0, target=0)
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         old = PVar(m, np.zeros((m.p, 2)))
         new = PVar(m, np.zeros((m.p, 2)))
         _advance(m, 15.0)
@@ -216,7 +216,7 @@ class TestInjectorEdgeCases:
     def test_strict_poll_still_raises_after_sdc_events(self):
         m = Hypercube(2, CostModel.unit())
         inj = FaultInjector(FaultPlan([NodeKill(0.0, pid=1)]))
-        m.attach_faults(inj)
+        m.attach(inj)
         with pytest.raises(NodeKilledError):
             m.charge_comm_round(1.0, dim=0)
         assert issubclass(CorruptionError, FaultError)
@@ -233,7 +233,7 @@ class TestSilentDelivery:
         inj = FaultInjector(FaultPlan([
             LinkCorrupt(0.0, dim=1, pid=2, slot=0, bit=3)
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         pv = PVar(m, np.arange(4 * m.p, dtype=np.float64).reshape(m.p, 4))
         clean = pv.data[m.neighbor_index(1)] if hasattr(m, "neighbor_index") \
             else None
@@ -250,7 +250,7 @@ class TestSilentDelivery:
         inj = FaultInjector(FaultPlan([
             LinkCorrupt(0.0, dim=1, pid=0, slot=0, bit=0)
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         pv = PVar(m, np.zeros((m.p, 3)))
         out0 = m.exchange(pv, dim=0)  # wrong dimension: untouched
         assert np.array_equal(out0.data, np.zeros((m.p, 3)))
@@ -296,7 +296,7 @@ class TestSdcTranslation:
             LinkCorrupt(100.0, dim=0, pid=6, slot=0, bit=0),  # dim collapsed
             LinkCorrupt(100.0, dim=1, pid=2, slot=0, bit=0),
         ]))
-        m.attach_faults(inj)
+        m.attach(inj)
         # Subcube keeping dims (1, 2) with bit 0 fixed to 0: pids {0,2,4,6}.
         inj.translate(free_dims=[1, 2], base=0)
         kinds = [(type(ev).__name__, getattr(ev, "pid", None),
