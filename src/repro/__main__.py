@@ -47,9 +47,10 @@ Subcommands:
 ``--abft`` to attach the checksum layer, and ``--fault-plan FILE`` to
 replay a recorded plan.  ``faults``/``abft`` accept ``--fault-plan`` too.
 They also accept ``--sanitize`` (with ``--sample-every K``) to audit
-accounting invariants and ``--profile`` to print the host wall-clock
-attribution table; ``trace --metrics-jsonl FILE`` attaches the metrics
-registry and adds counter tracks to the Chrome trace.
+accounting invariants and ``--profile`` to trace the run and print the
+span tree's host wall-clock attribution table; ``trace --metrics-jsonl
+FILE`` attaches the metrics registry and adds counter tracks to the
+Chrome trace.
 
 Every subcommand accepts ``--json`` to emit a machine-readable summary on
 stdout instead of the human-readable report.
@@ -122,8 +123,9 @@ def _obs_kwargs(args: argparse.Namespace) -> dict:
     """Session kwargs for the opt-in observability flags.
 
     Only explicit flags appear in the result, so the ``REPRO_SANITIZE`` /
-    ``REPRO_METRICS`` / ``REPRO_PROFILE`` environment defaults still apply
-    when a flag is absent.
+    ``REPRO_METRICS`` / ``REPRO_TRACE`` environment defaults still apply
+    when a flag is absent.  ``--profile`` turns tracing on: the host-time
+    table is a fold over the span tree.
     """
     kwargs: dict = {}
     if getattr(args, "sanitize", False):
@@ -133,7 +135,7 @@ def _obs_kwargs(args: argparse.Namespace) -> dict:
             sample_every=getattr(args, "sample_every", 1) or 1
         )
     if getattr(args, "profile", False):
-        kwargs["profile"] = True
+        kwargs["trace"] = True
     if getattr(args, "metrics_jsonl", None):
         kwargs["metrics"] = True
     return kwargs
@@ -152,37 +154,42 @@ def _fault_session(args: argparse.Namespace, run_fault_free, trace=False):
     plan verbatim instead (times are absolute, so no dry run is needed);
     ``--abft`` attaches the checksum layer either way.
     """
-    abft = bool(getattr(args, "abft", False))
+    kwargs = _obs_kwargs(args)
+    kwargs.setdefault("trace", trace)  # --profile has already set it
+    kwargs["abft"] = bool(getattr(args, "abft", False))
     plan_file = getattr(args, "fault_plan", None)
     if plan_file is not None:
         from .faults import FaultPlan
 
         plan = FaultPlan.from_json(plan_file)
-        return Session(
-            args.n, args.cost_model, trace=trace, faults=plan, abft=abft,
-            **_obs_kwargs(args),
-        )
+        return Session(args.n, args.cost_model, faults=plan, **kwargs)
     if getattr(args, "fault_seed", None) is None:
-        return Session(
-            args.n, args.cost_model, trace=trace, abft=abft,
-            **_obs_kwargs(args),
-        )
+        return Session(args.n, args.cost_model, **kwargs)
     dry = Session(args.n, args.cost_model)
     run_fault_free(dry)
     plan = _build_fault_plan(args, 0.75 * max(dry.time, 1.0))
-    return Session(
-        args.n, args.cost_model, trace=trace, faults=plan, abft=abft,
-        **_obs_kwargs(args),
-    )
+    return Session(args.n, args.cost_model, faults=plan, **kwargs)
 
 
 def _profiled_run(session: Session, fn):
-    """Run ``fn()`` inside the session's profiler window, if attached."""
-    profiler = session.profiler
-    if profiler is None:
+    """Run ``fn()`` inside a ``run`` span when the session is traced.
+
+    The span is the measurement window of the host-time table
+    (:meth:`repro.obs.Tracer.format_profile`): its self time is the
+    ``(unattributed)`` row.
+    """
+    tracer = session.tracer
+    if tracer is None:
         return fn()
-    with profiler.profiled():
+    with tracer.span("run", "run"):
         return fn()
+
+
+def _profile_lines(args: argparse.Namespace, session: Session) -> list:
+    """The host-time table under ``--profile``, else nothing."""
+    if not getattr(args, "profile", False):
+        return []
+    return ["", session.tracer.format_profile()]
 
 
 def _run_demo(session: Session, rng, rows: int, cols: int):
@@ -211,9 +218,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         session, lambda: _run_demo(session, rng, args.rows, args.cols)
     )
     data = dict(session.report_data(), embedding=repr(A.embedding))
-    text = f"embedded: {A.embedding!r}\n\n{session.report()}"
-    if session.profiler is not None:
-        text += "\n\n" + session.profiler.format_table()
+    text = "\n".join(
+        [f"embedded: {A.embedding!r}", "", session.report()]
+        + _profile_lines(args, session)
+    )
     _emit(args, data, text)
     return 0
 
@@ -269,8 +277,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"{st.detour_rounds} detour rounds"
         )
     lines += [f"  {name:<20s} {t:>14,.0f}" for name, t in phases]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
+    lines += _profile_lines(args, session)
     _emit(args, data, "\n".join(lines))
     return 0
 
@@ -289,15 +296,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _profiled_run(session, lambda: run(session))
 
     tracer = session.tracer
-    # Attached metrics and profiler ride along as Chrome counter tracks
-    # next to the span tree.
-    extra_events = []
+    # Attached metrics ride along as Chrome counter tracks next to the
+    # span tree.
     registry = session.metrics
-    if registry is not None:
-        extra_events += registry.counter_track_events()
-    if session.profiler is not None:
-        extra_events += session.profiler.counter_track_events()
-    to_chrome_trace(tracer, args.out, extra_events=extra_events or None)
+    extra_events = (
+        registry.counter_track_events() if registry is not None else None
+    )
+    to_chrome_trace(tracer, args.out, extra_events=extra_events)
     counts = validate_chrome_trace_file(args.out)
     events, spans = counts["events"], counts["spans"]
     jsonl_lines = to_jsonl(tracer, args.jsonl) if args.jsonl else None
@@ -330,8 +335,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lines.append(f"metrics jsonl    : {args.metrics_jsonl} "
                      f"({metrics_lines} lines)")
     lines += ["", session.report()]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
+    lines += _profile_lines(args, session)
     _emit(args, data, "\n".join(lines))
     return 0
 
@@ -599,8 +603,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         f"matches reference: {matches}",
         f"simulated time   : {result.cost.time:,.0f} ticks",
     ]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
+    lines += _profile_lines(args, session)
     _emit(args, data, "\n".join(lines))
     return 0 if matches else 1
 
@@ -909,8 +912,8 @@ def main(argv=None) -> int:
                  "(default 1 = every round)")
         p.add_argument(
             "--profile", action="store_true",
-            help="attach the phase profiler and print the host "
-                 "wall-clock attribution table")
+            help="trace the run and print the host wall-clock "
+                 "attribution table")
 
     def add_fault_args(p):
         p.add_argument(

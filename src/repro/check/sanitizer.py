@@ -53,10 +53,11 @@ hook                 invariant
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -97,6 +98,26 @@ def env_sample_every() -> int:
     if value < 1:
         raise ConfigError(f"{ENV_SAMPLE} must be >= 1, got {value}")
     return value
+
+
+def _checks_span(hook: Callable) -> Callable:
+    """Run a sanitizer hook inside a ``sanitizer-checks`` span.
+
+    Only when the sanitizer's machine is traced: the span gives the
+    sanitizer its own row (category ``check``) in the tracer's host-time
+    profile.  Untraced, the hook pays one ``is None`` branch.
+    """
+
+    @functools.wraps(hook)
+    def traced(self: "MachineSanitizer", *args: Any, **kwargs: Any) -> Any:
+        machine = self.machine
+        tracer = machine.tracer if machine is not None else None
+        if tracer is None:
+            return hook(self, *args, **kwargs)
+        with tracer.span("sanitizer-checks", "check"):
+            return hook(self, *args, **kwargs)
+
+    return traced
 
 
 def _time_slack(base: float, expected: float) -> float:
@@ -187,7 +208,7 @@ class MachineSanitizer:
         one (``--sample-every K`` on the CLI, ``REPRO_SANITIZE_SAMPLE``
         for sessions).  The per-round hooks — counter monotonicity, round
         accounting, exchange conservation — are the wall-clock hot path
-        (see the phase profiler's ``sanitizer-checks`` row); sampling
+        (see the ``sanitizer-checks`` row of ``Tracer.profile()``); sampling
         trades detection latency for speed.  Structural hooks (routes,
         plans, collectives, embeddings, checksum panels) always run.
         ``K=1`` (the default) is bit-identical to the unsampled sanitizer,
@@ -296,6 +317,7 @@ class MachineSanitizer:
         self._last = snap
         return snap
 
+    @_checks_span
     def observe_charge(self, machine: "Hypercube") -> None:
         """Sampled counter audit at a charge site (flops / local moves).
 
@@ -310,6 +332,7 @@ class MachineSanitizer:
 
     # -- charged communication rounds -----------------------------------------
 
+    @_checks_span
     def audit_comm_round(
         self,
         machine: "Hypercube",
@@ -377,6 +400,7 @@ class MachineSanitizer:
                     f"below the {exp_time} floor",
                 )
 
+    @_checks_span
     def audit_exchange(
         self,
         machine: "Hypercube",
@@ -398,6 +422,7 @@ class MachineSanitizer:
 
     # -- routing ---------------------------------------------------------------
 
+    @_checks_span
     def audit_route(
         self,
         machine: "Hypercube",
@@ -477,6 +502,7 @@ class MachineSanitizer:
                     f"time={stats.time})",
                 )
 
+    @_checks_span
     def audit_charge_route(
         self,
         machine: "Hypercube",
@@ -504,6 +530,7 @@ class MachineSanitizer:
 
     # -- plan cache -------------------------------------------------------------
 
+    @_checks_span
     def on_plan_store(self, machine: "Hypercube", key: Any, value: Any) -> None:
         """Record the bit-identity of a stored plan under its epoch key."""
         self.stats.count("plan-store")
@@ -516,6 +543,7 @@ class MachineSanitizer:
             )
         self._plan_prints[key] = _fingerprint(value)
 
+    @_checks_span
     def on_plan_hit(self, machine: "Hypercube", key: Any, value: Any) -> None:
         """A hit must replay, bit-identically, what was stored — now."""
         self.stats.count("plan-hit")
@@ -541,6 +569,7 @@ class MachineSanitizer:
 
     # -- collectives -------------------------------------------------------------
 
+    @_checks_span
     def audit_broadcast(
         self,
         machine: "Hypercube",
@@ -571,6 +600,7 @@ class MachineSanitizer:
                 f"did not deliver the root's block to every member",
             )
 
+    @_checks_span
     def audit_replicated(
         self,
         machine: "Hypercube",
@@ -599,6 +629,7 @@ class MachineSanitizer:
 
     # -- embeddings --------------------------------------------------------------
 
+    @_checks_span
     def audit_vector_embedding(self, emb: Any) -> None:
         """The paper's balance bound: no processor holds more than ⌈m/p⌉.
 
@@ -635,6 +666,7 @@ class MachineSanitizer:
                 f"times (each element must live exactly once)",
             )
 
+    @_checks_span
     def audit_matrix_embedding(self, emb: Any) -> None:
         """Grid balance: local blocks within ⌈R/Pr⌉×⌈C/Pc⌉, all elements placed."""
         self.stats.count("embedding")
@@ -658,6 +690,7 @@ class MachineSanitizer:
 
     # -- checksums ---------------------------------------------------------------
 
+    @_checks_span
     def audit_abft_panels(
         self, machine: "Hypercube", pvar: Any, panels: Tuple
     ) -> None:
@@ -708,6 +741,7 @@ class MachineSanitizer:
 
     # -- topology ---------------------------------------------------------------
 
+    @_checks_span
     def on_epoch_bump(self, machine: "Hypercube", old_epoch: int) -> None:
         """Topology epochs move strictly forward, one fault at a time."""
         self.stats.count("epoch")

@@ -23,6 +23,7 @@ from ..comm.ops import CombineOp, get_op
 from ..errors import ConfigError, EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
 from ..machine.pvar import PVar
+from ..obs.tracer import maybe_span
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.remap import redistribute_matrix, remap_vector
 from ..embeddings.remap import transpose as transpose_remap
@@ -69,7 +70,8 @@ class DistributedVector:
         return cls(embedding.scatter(vector), embedding)
 
     def to_numpy(self) -> np.ndarray:
-        return self.embedding.gather(self.pvar)
+        with maybe_span(self.machine, "gather", "io"):
+            return self.embedding.gather(self.pvar)
 
     # -- shape ------------------------------------------------------------------
 
@@ -486,7 +488,8 @@ class DistributedMatrix:
         return cls(embedding.scatter(matrix), embedding)
 
     def to_numpy(self) -> np.ndarray:
-        return self.embedding.gather(self.pvar)
+        with maybe_span(self.machine, "gather", "io"):
+            return self.embedding.gather(self.pvar)
 
     # -- shape ---------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..machine.cost_model import CostModel, resolve_cost_model
 from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
-from ..obs.tracer import ENV_FLAG as TRACE_ENV_FLAG, Tracer
+from ..obs.tracer import ENV_FLAG as TRACE_ENV_FLAG, Tracer, maybe_span
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.vector import (
     ColAlignedEmbedding,
@@ -54,12 +54,6 @@ def _registry():
     return MetricsRegistry()
 
 
-def _profiler():
-    from ..metrics.profiler import PhaseProfiler
-
-    return PhaseProfiler()
-
-
 class Session:
     """A simulated machine plus convenience factories."""
 
@@ -73,7 +67,6 @@ class Session:
         sanitize: Optional[Union[bool, object]] = None,
         abft: Optional[Union[bool, object]] = None,
         metrics: Optional[Union[bool, object]] = None,
-        profile: Optional[Union[bool, object]] = None,
         retry: Optional[object] = None,
         checkpoint: Optional[object] = None,
     ) -> None:
@@ -107,7 +100,6 @@ class Session:
             (abft, None, _abft),
             (trace, TRACE_ENV_FLAG, Tracer),
             (metrics, "REPRO_METRICS", _registry),
-            (profile, "REPRO_PROFILE", _profiler),
         ):
             if value is None:
                 value = env is not None and env_flag(env)
@@ -148,11 +140,6 @@ class Session:
     def metrics(self):
         """The attached :class:`~repro.metrics.MetricsRegistry`, or ``None``."""
         return self.machine.metrics
-
-    @property
-    def profiler(self):
-        """The attached :class:`~repro.metrics.PhaseProfiler`, or ``None``."""
-        return self.machine.profiler
 
     # -- degraded-mode recovery ----------------------------------------------
 
@@ -332,27 +319,33 @@ class Session:
         embedding: Optional[MatrixEmbedding] = None,
     ) -> DistributedMatrix:
         """Embed a host matrix (aspect-matched grid, balanced layout)."""
-        return self._matrix_cls().from_numpy(
-            self.machine, data, embedding=embedding, layout=layout
-        )
+        with maybe_span(self.machine, "scatter", "io"):
+            return self._matrix_cls().from_numpy(
+                self.machine, data, embedding=embedding, layout=layout
+            )
 
     def vector(self, data: np.ndarray, layout: str = "block") -> DistributedVector:
         """Embed a host vector in vector order (spread over all processors)."""
-        return self._vector_cls().from_numpy(self.machine, data, layout=layout)
+        with maybe_span(self.machine, "scatter", "io"):
+            return self._vector_cls().from_numpy(
+                self.machine, data, layout=layout
+            )
 
     def row_vector(
         self, data: np.ndarray, like: DistributedMatrix
     ) -> DistributedVector:
         """Embed a host vector row-aligned (replicated) with ``like``."""
-        emb = RowAlignedEmbedding(like.embedding, None)
-        return self._vector_cls()(emb.scatter(np.asarray(data)), emb)
+        with maybe_span(self.machine, "scatter", "io"):
+            emb = RowAlignedEmbedding(like.embedding, None)
+            return self._vector_cls()(emb.scatter(np.asarray(data)), emb)
 
     def col_vector(
         self, data: np.ndarray, like: DistributedMatrix
     ) -> DistributedVector:
         """Embed a host vector column-aligned (replicated) with ``like``."""
-        emb = ColAlignedEmbedding(like.embedding, None)
-        return self._vector_cls()(emb.scatter(np.asarray(data)), emb)
+        with maybe_span(self.machine, "scatter", "io"):
+            emb = ColAlignedEmbedding(like.embedding, None)
+            return self._vector_cls()(emb.scatter(np.asarray(data)), emb)
 
     def sparse_matrix(
         self,

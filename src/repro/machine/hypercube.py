@@ -57,13 +57,12 @@ class Hypercube:
     #: per-lane; the scalar machine pays one attribute read per site.
     n_runs: Optional[int] = None
 
-    #: The optional subsystems a machine can carry, in bind order (the
-    #: profiler wraps the sanitizer, so it binds after it).  Each
+    #: The optional subsystems a machine can carry, in bind order.  Each
     #: attachment class names its ``slot`` and implements
     #: ``bind(machine)``, ``rebind(machine)`` (move onto the successor of a
     #: degrade or promote) and ``report_data()`` (its keys of
     #: ``Session.report_data``, which follows this order).
-    SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics", "profiler")
+    SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics")
 
     def __init__(
         self,
@@ -92,11 +91,10 @@ class Hypercube:
         # the ABFT manager (repro.abft) is attached explicitly and pays its
         # charges openly; a machine without it never imports the module.
         self.abft = None
-        # Metrics + profiling (repro.metrics): same null contract — a
-        # machine without them pays one ``is None`` branch per phase
-        # boundary and never imports the module.
+        # Metrics (repro.metrics): same null contract — a machine without
+        # them pays one ``is None`` branch per phase boundary and never
+        # imports the module.
         self.metrics = None
-        self.profiler = None
         # Fault state.  ``epoch`` counts topology changes: every permanent
         # fault bumps it, and the plan cache folds it into every key, so a
         # plan derived on one topology can never replay on another.  The
@@ -622,9 +620,6 @@ class Hypercube:
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[None]:
         tracer = self.tracer
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push(name)
         try:
             # Mirror the counters' re-entry rule: a nested phase of the same
             # name neither double-counts time nor opens a second span, so span
@@ -636,8 +631,6 @@ class Hypercube:
                 with self.counters.phase(name):
                     yield
         finally:
-            if profiler is not None:
-                profiler.pop()
             metrics = self.metrics
             if metrics is not None:
                 metrics.on_phase_exit(name)

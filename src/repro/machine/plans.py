@@ -45,6 +45,7 @@ import numpy as np
 
 from ..env import env_flag
 from ..errors import ConfigError
+from ..obs.tracer import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .hypercube import Hypercube
@@ -206,11 +207,7 @@ class PlanCache:
         """``build()`` once per key; recompute every call when disabled."""
         value = self.lookup(key)
         if value is MISSING:
-            profiler = self.machine.profiler
-            if profiler is not None:
-                with profiler.section("plan-build", "plans"):
-                    value = self.store(key, build())
-            else:
+            with maybe_span(self.machine, "plan-build", "plans"):
                 value = self.store(key, build())
         return value
 

@@ -6,12 +6,12 @@ This module is the metricbench-style replacement:
 * a **run table** declares runs as workload x size x feature flags x
   reps (built-in ``smoke``/``full`` tables, or a JSON file);
 * :func:`run_table` executes each run on a fresh :class:`~repro.core.
-  session.Session` with the metrics registry and phase profiler attached,
-  optionally validating results against NumPy references (``--validate``);
+  session.Session` with the metrics registry attached, optionally
+  validating results against NumPy references (``--validate``);
 * every run appends one schema-versioned JSONL record (git rev, params,
-  wall seconds, simulated costs, metrics snapshot, profiler attribution)
-  to ``benchmarks/warehouse/runs.jsonl`` — a queryable, append-only
-  history;
+  wall seconds, simulated costs, metrics snapshot, and the host-time
+  profile of one traced rep) to ``benchmarks/warehouse/runs.jsonl`` — a
+  queryable, append-only history;
 * :func:`pin_baselines` freezes the latest record per experiment key and
   :func:`compare` gates later runs against the pin: any simulated-tick
   increase is a regression (simulated costs are deterministic, so the
@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .profiler import PhaseProfiler
+from ..obs.tracer import Tracer
 from .registry import MetricsRegistry
 from .timing import best_of
 
@@ -292,7 +292,7 @@ def _scalar_workload(
 ) -> Tuple[Callable[[Any], Any], Callable[[Any], Tuple[bool, str]]]:
     """``(run(session) -> result, validate(result) -> (ok, detail))``."""
     from .. import workloads as W
-    from ..algorithms import gaussian, simplex
+    from ..algorithms import gaussian, matvec, simplex
 
     if workload == "gaussian":
         order = int(params["order"])
@@ -344,7 +344,7 @@ def _scalar_workload(
             dA = session.matrix(A)
             y = x0
             for _ in range(iters):
-                y = dA.matvec(session.row_vector(y, dA)).to_numpy()
+                y = matvec.matvec(dA, session.row_vector(y, dA)).y.to_numpy()
             return y
 
         def validate(result: Any) -> Tuple[bool, str]:
@@ -393,14 +393,13 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
 
         sanitize = MachineSanitizer(sample_every=int(flags["sanitize_sample"]))
 
-    profiler = PhaseProfiler()
     session = Session(
         n_dims,
         plan_cache=bool(flags["plan_cache"]),
         sanitize=sanitize,
         abft=bool(flags["abft"]),
+        trace=False,
         metrics=MetricsRegistry(),
-        profile=profiler,
     )
 
     def reset() -> None:
@@ -409,9 +408,16 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
             session.abft.reset()
 
     run(session)  # warm-up: first-touch plan construction is not the metric
-    profiler.start()
     timed = best_of(lambda: run(session), spec.reps, setup=reset)
-    profiler.stop()
+    sim = session.snapshot().as_dict()
+    metrics = session.metrics.collect()
+
+    # The timed reps run untraced; one more rep, traced inside a ``run``
+    # window, gives the record its host-time profile on both clocks.
+    reset()
+    tracer = session.machine.attach(Tracer())
+    with tracer.span("run", "run"):
+        run(session)
 
     validated: Optional[bool] = None
     detail = ""
@@ -420,9 +426,9 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
 
     return {
         "wall_s": {"best": timed.best, "mean": timed.mean},
-        "sim": session.snapshot().as_dict(),
-        "metrics": session.metrics.collect(),
-        "profile": profiler.as_dict(top_n=8),
+        "sim": sim,
+        "metrics": metrics,
+        "profile": tracer.profile(top_n=8),
         "validated": validated,
         "validate_detail": detail,
     }

@@ -9,7 +9,8 @@ Three ways to look at one traced run:
 * :func:`to_chrome_trace` — the Chrome trace-event format, loadable in
   ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev): spans become
   matched ``B``/``E`` duration events whose clock is *simulated ticks*
-  (rendered as microseconds by the viewers).
+  (rendered as microseconds by the viewers); each ``B`` event's args
+  carry the span's host seconds as ``wall_s``.
 
 :func:`validate_chrome_trace` checks the format invariants the CI smoke
 job relies on: every event well-formed, timestamps monotonically
@@ -43,8 +44,9 @@ def to_jsonl(tracer: Tracer, dest: PathOrFile) -> int:
 
     The first line is a ``meta`` record describing the machine; every
     following line is a span (in close order) or an instant event.  Span
-    records carry the full cost delta, plan-cache hits/misses and the
-    ``(dim, congestion)`` of every direct communication round.
+    records carry the full cost delta, the host seconds (``wall_s``),
+    plan-cache hits/misses and the ``(dim, congestion)`` of every direct
+    communication round.
     """
     fh, owned = _open_for_write(dest)
     try:
@@ -74,9 +76,10 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     """The tracer's span tree as a Chrome trace-event list.
 
     Every span becomes a ``B``/``E`` pair on one thread of one process;
-    ``ts`` is the simulated tick count at open/close.  A depth-first walk
-    of the tree emits properly nested, monotonically non-decreasing
-    timestamps because simulated time never runs backwards.
+    ``ts`` is the simulated tick count at open/close and ``args.wall_s``
+    the span's host seconds.  A depth-first walk of the tree emits
+    properly nested, monotonically non-decreasing timestamps because
+    simulated time never runs backwards.
     """
     machine = tracer.machine
     label = (
@@ -106,6 +109,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
             return
         args: Dict[str, Any] = dict(span.attrs)
         args.update(span.cost.as_dict())
+        args["wall_s"] = span.wall
         if span.plan_hits or span.plan_misses:
             args["plan_hits"] = span.plan_hits
             args["plan_misses"] = span.plan_misses
@@ -176,7 +180,6 @@ def to_chrome_trace(
 
     ``extra_events`` appends additional trace events — e.g. the counter
     (``"C"``) tracks from :meth:`repro.metrics.MetricsRegistry.
-    counter_track_events` or :meth:`repro.metrics.PhaseProfiler.
     counter_track_events` — after the span tree.
     """
     events = chrome_trace_events(tracer)

@@ -9,6 +9,12 @@ incurred, and the per-dimension link congestion of every communication
 round executed inside it.  Spans nest under the existing ``phase()`` stack,
 so the span tree *is* the call tree of the simulation.
 
+Each span also carries a host-clock interval, so the same tree answers
+where the *seconds* went: :meth:`Tracer.profile` folds every span's self
+time and self ticks into one row per span name.  A ``run``-category root
+span, opened by the caller, is the measurement window; its self time is
+the ``(unattributed)`` row.
+
 Design constraints (pinned by ``tests/test_obs.py``):
 
 * **Null by default.**  ``machine.tracer`` is ``None`` unless a tracer is
@@ -17,7 +23,8 @@ Design constraints (pinned by ``tests/test_obs.py``):
   tracing on, off, or absent.
 * **Simulated ticks are the clock.**  Span timestamps are
   ``counters.time`` values, so per-phase span durations sum exactly to the
-  ``phase_times`` the counters already report.
+  ``phase_times`` the counters already report.  The host clock is read
+  once at open and once at close, and only when a tracer is attached.
 * **Read-only.**  The tracer never charges the machine and never touches
   the plan cache; it observes snapshots and round details only.
 """
@@ -25,8 +32,11 @@ Design constraints (pinned by ``tests/test_obs.py``):
 from __future__ import annotations
 
 import contextlib
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 from ..machine.counters import CostSnapshot
 from .congestion import CongestionAggregator
@@ -40,6 +50,10 @@ ENV_FLAG = "REPRO_TRACE"
 
 #: Shared re-entrant no-op context used when no tracer is attached.
 NULL_CONTEXT = contextlib.nullcontext()
+
+#: Profile row of the self time of ``run`` spans: host time inside the
+#: measurement window but inside no named span.
+UNATTRIBUTED = "(unattributed)"
 
 
 def maybe_span(machine: "Hypercube", name: str, category: str, **attrs: Any):
@@ -56,10 +70,11 @@ def maybe_span(machine: "Hypercube", name: str, category: str, **attrs: Any):
 
 @dataclass
 class Span:
-    """One traced call: a named interval on the simulated clock.
+    """One traced call: a named interval on both clocks.
 
     ``start``/``end`` are counter snapshots taken at open/close, so
-    ``span.cost`` is exactly what the call charged (children included).
+    ``span.cost`` is exactly what the call charged (children included);
+    ``wall_start``/``wall_end`` are the host clock at open/close.
     ``rounds`` lists the ``(dim, congestion)`` of every communication round
     executed *directly* inside this span (children keep their own); use
     :meth:`iter` / :meth:`subtree_rounds` for inclusive views.
@@ -72,6 +87,8 @@ class Span:
     attrs: Dict[str, Any] = field(default_factory=dict)
     end_ts: float = 0.0
     end: Optional[CostSnapshot] = None
+    wall_start: float = 0.0
+    wall_end: float = 0.0
     plan_hits: int = 0
     plan_misses: int = 0
     rounds: List[Tuple[int, float]] = field(default_factory=list)
@@ -85,6 +102,23 @@ class Span:
     def duration(self) -> float:
         """Simulated ticks elapsed inside the span."""
         return (self.end_ts if self.closed else self.start_ts) - self.start_ts
+
+    @property
+    def wall(self) -> float:
+        """Host seconds elapsed inside the span."""
+        if not self.closed:
+            return 0.0
+        return self.wall_end - self.wall_start
+
+    @property
+    def self_wall(self) -> float:
+        """Host seconds inside the span but inside none of its children."""
+        return self.wall - sum(child.wall for child in self.children)
+
+    @property
+    def self_ticks(self) -> float:
+        """Simulated ticks inside the span but inside none of its children."""
+        return self.duration - sum(child.duration for child in self.children)
 
     @property
     def cost(self) -> CostSnapshot:
@@ -119,6 +153,7 @@ class Span:
             "category": self.category,
             "ts": self.start_ts,
             "dur": self.duration,
+            "wall_s": self.wall,
             "cost": self.cost.as_dict(),
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
@@ -134,18 +169,28 @@ class Tracer:
 
     Attach with :meth:`Hypercube.attach` (or ``Session(trace=True)``)
     *before* running the workload.  Query ``roots``, :meth:`iter_spans`,
-    :meth:`find`, :meth:`primitive_summary` afterwards, or export with
-    :func:`repro.obs.export.to_chrome_trace` / :func:`~repro.obs.export.
-    to_jsonl`.
+    :meth:`find`, :meth:`primitive_summary`, :meth:`profile` afterwards,
+    or export with :func:`repro.obs.export.to_chrome_trace` /
+    :func:`~repro.obs.export.to_jsonl`.
+
+    Parameters
+    ----------
+    clock:
+        A zero-argument callable returning host seconds; defaults to
+        :func:`time.perf_counter`.  Tests inject a deterministic counter.
     """
 
     #: The machine slot this attachment fills (see ``Hypercube.SLOTS``).
     slot = "tracer"
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+        self.clock = clock
         self.machine: Optional["Hypercube"] = None
         self.roots: List[Span] = []
-        self.events: List[Dict[str, Any]] = []
+        # Closed spans (in close order) and instant-event dicts.  A span
+        # becomes its event dict only when :attr:`events` is read, which
+        # keeps closing a span cheap.
+        self._log: List[Any] = []
         self.congestion = CongestionAggregator()
         self._stack: List[Span] = []
 
@@ -196,16 +241,18 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
+        span.wall_start = self.clock()
         try:
             yield span
         finally:
+            span.wall_end = self.clock()
             popped = self._stack.pop()
             assert popped is span
             span.end_ts = c.time
             span.end = c.snapshot()
             span.plan_hits = c.plan_hits - span.plan_hits
             span.plan_misses = c.plan_misses - span.plan_misses
-            self.events.append(span.to_event())
+            self._log.append(span)
 
     @property
     def current(self) -> Optional[Span]:
@@ -223,7 +270,15 @@ class Tracer:
         }
         if attrs:
             event["attrs"] = dict(attrs)
-        self.events.append(event)
+        self._log.append(event)
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The event log: closed spans (in close order) and instants."""
+        return [
+            entry.to_event() if isinstance(entry, Span) else entry
+            for entry in self._log
+        ]
 
     # -- communication-round hooks (called from charge sites) ------------------
 
@@ -308,9 +363,76 @@ class Tracer:
                 summary[name]["congestion_max"] = float(max(cs))
         return summary
 
+    def profile(self, top_n: Optional[int] = 10) -> Dict[str, Any]:
+        """Host seconds and simulated ticks per span name, on both clocks.
+
+        A fold over the span tree: each closed span adds its self time
+        and self ticks to the row of its name (``run`` spans to the
+        :data:`UNATTRIBUTED` row), so the ``seconds`` of all rows sum to
+        ``total_s``, the host time inside the root spans, and their
+        ``ticks`` to the ticks charged inside them.  ``phases`` holds the
+        ``top_n`` rows (all of them for ``None``) by descending seconds;
+        ``categories`` sums seconds per span category.
+        """
+        rows: Dict[str, Dict[str, Any]] = {}
+        categories: Dict[str, float] = {}
+        unattributed = 0.0
+        for span in self.iter_spans():
+            if not span.closed:
+                continue
+            seconds = span.self_wall
+            if span.category == "run":
+                label = UNATTRIBUTED
+                unattributed += seconds
+            else:
+                label = span.name
+            row = rows.setdefault(label, {
+                "label": label,
+                "category": span.category,
+                "seconds": 0.0,
+                "share": 0.0,
+                "count": 0,
+                "ticks": 0.0,
+            })
+            row["seconds"] += seconds
+            row["count"] += 1
+            row["ticks"] += span.self_ticks
+            categories[span.category] = (
+                categories.get(span.category, 0.0) + seconds
+            )
+        total = sum(root.wall for root in self.roots)
+        table = sorted(rows.values(), key=lambda r: -r["seconds"])
+        for row in table:
+            row["share"] = row["seconds"] / total if total else 0.0
+        return {
+            "total_s": total,
+            "attributed_s": total - unattributed,
+            "coverage": (total - unattributed) / total if total > 0 else 0.0,
+            "phases": table[:top_n],
+            "categories": categories,
+        }
+
+    def format_profile(self, top_n: int = 10) -> str:
+        """The top-N rows of :meth:`profile` as printable text."""
+        data = self.profile(top_n)
+        lines = [
+            f"host wall time    : {data['total_s']:.3f}s "
+            f"({100.0 * data['coverage']:.1f}% attributed)",
+            f"  {'label':<24s} {'category':<10s} {'seconds':>9s} "
+            f"{'share':>7s} {'count':>7s} {'ticks':>14s}",
+        ]
+        for row in data["phases"]:
+            lines.append(
+                f"  {row['label']:<24s} {row['category']:<10s} "
+                f"{row['seconds']:>9.3f} {100.0 * row['share']:>6.1f}% "
+                f"{row['count']:>7d} {row['ticks']:>14.1f}"
+            )
+        return "\n".join(lines)
+
     def report_data(self) -> Dict[str, Any]:
         """The tracer's part of :meth:`repro.core.session.Session.report_data`."""
         return {
             "primitive_breakdown": self.primitive_summary(),
             "congestion": self.congestion.summary(),
+            "profile": self.profile(),
         }

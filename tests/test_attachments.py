@@ -1,13 +1,12 @@
 """Every optional subsystem joins, survives and reports the same way.
 
-Six subsystems can fill a slot on a machine: the fault injector, the
-sanitizer, the ABFT manager, the tracer, the metrics registry and the
-phase profiler.  A session that degrades onto a subcube and later
-promotes back must carry each one across both swaps as the same object,
-bound to the current machine.  The session report of such a run is
-pinned in ``tests/data/report_pin.json``; regenerate it (only for an
-intended report change) with ``PYTHONPATH=src python -m
-tests.test_attachments``.
+Five subsystems can fill a slot on a machine: the fault injector, the
+sanitizer, the ABFT manager, the tracer and the metrics registry.  A
+session that degrades onto a subcube and later promotes back must carry
+each one across both swaps as the same object, bound to the current
+machine.  The session report of such a run is pinned in
+``tests/data/report_pin.json``; regenerate it (only for an intended
+report change) with ``PYTHONPATH=src python -m tests.test_attachments``.
 """
 
 from __future__ import annotations
@@ -27,13 +26,13 @@ from repro.check import MachineSanitizer
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.machine.hypercube import Hypercube
-from repro.metrics import MetricsRegistry, PhaseProfiler
+from repro.metrics import MetricsRegistry
 from repro.obs import Tracer
 
 PIN_PATH = Path(__file__).parent / "data" / "report_pin.json"
 
 #: Every attachment slot, in bind order.
-SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics", "profiler")
+SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics")
 
 
 def _solve(s: Session, seed: int) -> None:
@@ -56,11 +55,10 @@ def _swapped_session(on_swap=lambda s, held: None) -> Session:
         sanitize=True,
         abft=True,
         metrics=True,
-        profile=True,
         faults=FaultPlan(()),
     )
     held = {slot: getattr(s.machine, slot) for slot in SLOTS}
-    with s.profiler.profiled():
+    with s.tracer.span("run", "run"):
         _solve(s, seed=1)
         s.machine.kill_node(5)
         s.degrade()
@@ -94,7 +92,6 @@ def _attachments():
         ABFTManager(),
         Tracer(),
         MetricsRegistry(),
-        PhaseProfiler(),
     )
 
 
@@ -108,10 +105,10 @@ def test_each_attachment_class_names_its_slot():
         assert attachment.machine is m
 
 
-def test_batch_machine_takes_only_metrics_and_profiler():
+def test_batch_machine_takes_only_metrics():
     m = BatchHypercube(2, n_runs=3)
     for attachment in _attachments():
-        if attachment.slot in ("metrics", "profiler"):
+        if attachment.slot == "metrics":
             assert m.attach(attachment) is attachment
             assert attachment.machine is m
         else:

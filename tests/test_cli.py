@@ -48,6 +48,15 @@ class TestSolve:
         assert "implicit pivoting" in out
         assert "row-swap" not in out
 
+    def test_profile_prints_host_time_table(self, capsys):
+        assert main(["solve", "-n", "4", "--size", "12", "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("host wall time") for line in lines)
+        header = [line.split() for line in lines if "category" in line]
+        assert header == [
+            ["label", "category", "seconds", "share", "count", "ticks"]
+        ]
+
 
 class TestJsonOutput:
     def test_info_json(self, capsys):

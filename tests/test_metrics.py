@@ -1,16 +1,17 @@
-"""Tests for the metrics registry and phase profiler (``repro.metrics``).
+"""Tests for the metrics registry and the span tree's host-time profile.
 
 The two load-bearing guarantees, mirroring the tracer's contract:
 
 * **bit-identical costs** — simulated ticks and every cost counter are
-  exactly the same with metrics/profiling on, off, or absent, pinned in a
-  fresh subprocess so no interpreter state can leak between the arms;
-* **attribution fidelity** — the profiler's exclusive per-label host
-  times sum (with the unattributed root) to the profiled wall interval,
+  exactly the same with metrics and tracing on, off, or absent, pinned in
+  a fresh subprocess so no interpreter state can leak between the arms;
+* **attribution fidelity** — the exclusive host seconds per span name sum
+  (with the unattributed ``run`` window) to the measured wall interval,
   and on a real sanitize-on run at least 90% of host time lands on a
-  named phase or section.
+  named span.
 """
 
+import io
 import json
 import subprocess
 import sys
@@ -26,10 +27,15 @@ from repro.check import MachineSanitizer
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.machine.hypercube import Hypercube
-from repro.metrics import MetricsRegistry, PhaseProfiler
-from repro.metrics.profiler import ROOT, _ProfiledProxy
+from repro.metrics import MetricsRegistry
 from repro.metrics.registry import MAX_SNAPSHOTS, SCHEMA
-from repro.obs import validate_chrome_trace
+from repro.obs import (
+    Tracer,
+    chrome_trace_events,
+    to_jsonl,
+    validate_chrome_trace,
+)
+from repro.obs.tracer import UNATTRIBUTED
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SUBPROCESS_ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
@@ -38,6 +44,11 @@ SUBPROCESS_ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
 def run_gaussian(session, size=12, seed=0):
     A_host, b, _ = W.random_system(size, seed=seed)
     return gaussian.solve(session.matrix(A_host), b)
+
+
+def rows_by_label(tracer):
+    """Every row of the tracer's profile, keyed by label."""
+    return {row["label"]: row for row in tracer.profile(top_n=None)["phases"]}
 
 
 class FakeClock:
@@ -58,32 +69,27 @@ class FakeClock:
 
 class TestNullDefault:
     def test_machine_has_no_metrics_or_profiler_by_default(self, monkeypatch):
+        """Host time comes from the tracer, which is null by default too."""
         monkeypatch.delenv("REPRO_METRICS", raising=False)
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         s = Session(3)
         assert s.machine.metrics is None
-        assert s.machine.profiler is None
+        assert s.machine.tracer is None
         assert Hypercube(3).metrics is None
-        assert Hypercube(3).profiler is None
+        assert Hypercube(3).tracer is None
 
     def test_env_flags_attach(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
-        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         s = Session(3)
         assert isinstance(s.metrics, MetricsRegistry)
-        assert isinstance(s.profiler, PhaseProfiler)
+        assert isinstance(s.tracer, Tracer)
 
     def test_registry_rejects_second_machine(self):
         r = MetricsRegistry()
         Hypercube(2).attach(r)
         with pytest.raises(ConfigError):
             Hypercube(3).attach(r)
-
-    def test_profiler_rejects_second_machine(self):
-        p = PhaseProfiler()
-        Hypercube(2).attach(p)
-        with pytest.raises(ConfigError):
-            Hypercube(3).attach(p)
 
 
 # -- registry: names, kinds, publication --------------------------------------
@@ -213,105 +219,93 @@ class TestSnapshots:
         assert MetricsRegistry().counter_track_events() == []
 
 
-# -- profiler: deterministic attribution --------------------------------------
+# -- host-time profile: a fold over the span tree ------------------------------
 
 
 class TestProfiler:
     def test_exclusive_attribution_with_fake_clock(self):
         clock = FakeClock()
-        p = PhaseProfiler(clock=clock)
-        p.start()
-        clock.advance(1.0)           # -> ROOT
-        p.push("outer")
-        clock.advance(2.0)           # -> outer
-        p.push("inner")
-        clock.advance(4.0)           # -> inner (exclusive!)
-        p.pop()
-        clock.advance(8.0)           # -> outer again
-        p.pop()
-        clock.advance(0.5)           # -> ROOT
-        total = p.stop()
-        assert total == pytest.approx(15.5)
-        assert p.times["outer"] == pytest.approx(10.0)
-        assert p.times["inner"] == pytest.approx(4.0)
-        assert p.times[ROOT] == pytest.approx(1.5)
-        assert p.attributed == pytest.approx(14.0)
-        assert p.coverage == pytest.approx(14.0 / 15.5)
-        assert p.counts == {"outer": 1, "inner": 1}
-
-    def test_start_stop_misuse(self):
-        p = PhaseProfiler(clock=FakeClock())
-        with pytest.raises(ConfigError):
-            p.stop()
-        p.start()
-        with pytest.raises(ConfigError):
-            p.start()
-        p.stop()
-
-    def test_push_pop_noops_when_not_running(self):
-        p = PhaseProfiler(clock=FakeClock())
-        p.push("x")
-        p.pop()
-        assert p.times == {} and p.counts == {}
+        machine = Hypercube(3)
+        tracer = machine.attach(Tracer(clock=clock))
+        with tracer.span("run", "run"):
+            clock.advance(1.0)               # -> (unattributed)
+            with machine.phase("outer"):
+                clock.advance(2.0)           # -> outer
+                with machine.phase("inner"):
+                    clock.advance(4.0)       # -> inner (exclusive!)
+                clock.advance(8.0)           # -> outer again
+            clock.advance(0.5)               # -> (unattributed)
+        profile = tracer.profile()
+        rows = rows_by_label(tracer)
+        assert profile["total_s"] == pytest.approx(15.5)
+        assert rows["outer"]["seconds"] == pytest.approx(10.0)
+        assert rows["inner"]["seconds"] == pytest.approx(4.0)
+        assert rows[UNATTRIBUTED]["seconds"] == pytest.approx(1.5)
+        assert profile["attributed_s"] == pytest.approx(14.0)
+        assert profile["coverage"] == pytest.approx(14.0 / 15.5)
+        counts = {label: row["count"] for label, row in rows.items()
+                  if label != UNATTRIBUTED}
+        assert counts == {"outer": 1, "inner": 1}
 
     def test_table_and_format(self):
         clock = FakeClock()
-        p = PhaseProfiler(clock=clock)
-        p.start()
-        p.push("slow")
-        clock.advance(3.0)
-        p.pop()
-        p.push("fast")
-        clock.advance(1.0)
-        p.pop()
-        p.stop()
-        table = p.table(top_n=1)
+        machine = Hypercube(3)
+        tracer = machine.attach(Tracer(clock=clock))
+        with tracer.span("run", "run"):
+            with machine.phase("slow"):
+                clock.advance(3.0)
+            with machine.phase("fast"):
+                clock.advance(1.0)
+        table = tracer.profile(top_n=1)["phases"]
         assert table[0]["label"] == "slow"
         assert table[0]["seconds"] == pytest.approx(3.0)
         assert table[0]["share"] == pytest.approx(0.75)
-        text = p.format_table()
+        text = tracer.format_profile()
         assert "slow" in text and "fast" in text
 
     def test_sanitizer_proxy_attribution(self):
-        s = Session(3, sanitize=True, profile=True)
-        assert isinstance(s.machine.sanitizer, _ProfiledProxy)
-        with s.profiler.profiled():
+        """The sanitizer's own hooks open ``sanitizer-checks`` spans, so
+        the attached sanitizer is never replaced by a stand-in."""
+        s = Session(3, sanitize=True, trace=True)
+        assert type(s.machine.sanitizer) is MachineSanitizer
+        with s.tracer.span("run", "run"):
             run_gaussian(s, size=8)
-        assert s.profiler.times.get("sanitizer-checks", 0.0) > 0.0
-        assert s.profiler.categories["sanitizer-checks"] == "check"
-
-    def test_proxy_forwards_attributes(self):
-        s = Session(3, sanitize=True, profile=True)
-        proxy = s.machine.sanitizer
-        assert proxy.sample_every == 1
-        proxy.foo = 7  # setattr lands on the wrapped sanitizer
-        assert proxy._target.foo == 7
+        row = rows_by_label(s.tracer)["sanitizer-checks"]
+        assert row["seconds"] > 0.0
+        assert row["category"] == "check"
 
     def test_coverage_on_sanitized_gaussian(self):
         """Acceptance: >= 90% of host time attributed on a sanitize-on run."""
-        s = Session(5, sanitize=True, profile=True)
+        s = Session(5, sanitize=True, trace=True)
         A_host, b, _ = W.random_system(24, seed=0)
         A = s.matrix(A_host)
-        with s.profiler.profiled():
+        with s.tracer.span("run", "run"):
             gaussian.solve(A, b)
-        assert s.profiler.coverage >= 0.9
-        assert s.profiler.times.get("sanitizer-checks", 0.0) > 0.0
-        breakdown = s.profiler.category_breakdown()
-        assert breakdown.get("check", 0.0) > 0.0
+        profile = s.tracer.profile()
+        assert profile["coverage"] >= 0.9
+        assert rows_by_label(s.tracer)["sanitizer-checks"]["seconds"] > 0.0
+        assert profile["categories"].get("check", 0.0) > 0.0
 
-    def test_counter_track_validates(self):
-        s = Session(3, profile=True)
-        with s.profiler.profiled():
+    def test_spans_carry_wall_seconds(self):
+        s = Session(3, trace=True)
+        with s.tracer.span("run", "run"):
             run_gaussian(s, size=8)
-        events = s.profiler.counter_track_events()
-        stats = validate_chrome_trace(events)
-        assert stats["counters"] > 0
+        events = chrome_trace_events(s.tracer)
+        begins = [e for e in events if e["ph"] == "B"]
+        assert begins and all(e["args"]["wall_s"] >= 0.0 for e in begins)
+        assert begins[0]["name"] == "run"
+        assert begins[0]["args"]["wall_s"] == s.tracer.profile()["total_s"]
+        assert validate_chrome_trace(events)["spans"] == len(begins)
+        buf = io.StringIO()
+        to_jsonl(s.tracer, buf)
+        spans = [json.loads(line) for line in buf.getvalue().splitlines()[1:]]
+        assert spans and all("wall_s" in rec for rec in spans)
 
     def test_as_dict_round_trips_to_json(self):
-        s = Session(3, profile=True)
-        with s.profiler.profiled():
+        s = Session(3, trace=True)
+        with s.tracer.span("run", "run"):
             run_gaussian(s, size=8)
-        data = json.loads(json.dumps(s.profiler.as_dict()))
+        data = json.loads(json.dumps(s.tracer.profile()))
         assert data["total_s"] > 0
         assert 0.0 <= data["coverage"] <= 1.0
         assert data["categories"]
@@ -322,16 +316,20 @@ class TestProfiler:
 
 class TestDegrade:
     def test_degrade_carries_metrics_and_profiler(self):
-        s = Session(3, metrics=True, profile=True)
-        registry, profiler = s.metrics, s.profiler
+        """The registry and the tracer, whose span tree is the host-time
+        profile, both move onto the survivor."""
+        s = Session(3, metrics=True, trace=True)
+        registry, tracer = s.metrics, s.tracer
         s.machine.kill_node(5)
         s.degrade()
         assert s.machine.metrics is registry
         assert registry.machine is s.machine
-        assert s.machine.profiler is profiler
-        assert profiler.machine is s.machine
-        run_gaussian(s, size=6)
+        assert s.machine.tracer is tracer
+        assert tracer.machine is s.machine
+        with tracer.span("run", "run"):
+            run_gaussian(s, size=6)
         assert registry.collect()["machine.ticks"] > 0
+        assert tracer.profile()["total_s"] > 0
 
 
 # -- bit-identity pin (subprocess) --------------------------------------------
@@ -346,21 +344,20 @@ from repro.algorithms import gaussian
 mode = sys.argv[1]
 kwargs = {}
 if mode == "on":
-    kwargs = dict(metrics=True, profile=True)
+    kwargs = dict(metrics=True, trace=True)
 s = Session(4, sanitize=True, **kwargs)
-if mode == "on":
-    s.profiler.start()
 A_host, b, _ = W.random_system(12, seed=0)
-x = gaussian.solve(s.matrix(A_host), b)
 if mode == "on":
-    s.profiler.stop()
+    with s.tracer.span("run", "run"):
+        x = gaussian.solve(s.matrix(A_host), b)
+else:
+    x = gaussian.solve(s.matrix(A_host), b)
 snap = s.machine.counters.snapshot().as_dict()
 out = {
     "snap": {k: repr(v) for k, v in snap.items()},
     "x": [repr(float(v)) for v in np.asarray(x.x)],
     "plan": [s.machine.counters.plan_hits, s.machine.counters.plan_misses],
-    "checks": s.machine.sanitizer.stats.total
-    if mode != "on" else s.machine.sanitizer._target.stats.total,
+    "checks": s.machine.sanitizer.stats.total,
     "metrics_imported": "repro.metrics" in sys.modules,
 }
 print(json.dumps(out))

@@ -3,7 +3,8 @@
 The two load-bearing guarantees:
 
 * **bit-identical costs** — simulated ticks and every ``CostSnapshot``
-  field are exactly the same with tracing on, off, or absent;
+  field are exactly the same with tracing on, off, or absent, and the
+  ``ticks`` column of the tracer's profile sums exactly to them;
 * **phase fidelity** — per-phase span durations sum to the
   ``phase_times`` the counters report.
 """
@@ -15,7 +16,8 @@ import pytest
 
 from repro import Session
 from repro import workloads as W
-from repro.algorithms import gaussian, simplex
+from repro.algorithms import gaussian, matvec, simplex
+from repro.algorithms import graph as G
 from repro.algorithms.naive import NaiveVector
 from repro.env import env_flag
 from repro.machine.hypercube import Hypercube
@@ -39,6 +41,18 @@ def run_gaussian(session, size=12, seed=0):
 def run_simplex(session, m=5, n=4, seed=0):
     lp = W.feasible_lp(m, n, seed=seed)
     return simplex.solve(session.machine, lp.A, lp.b, lp.c)
+
+
+def run_matvec(session, n=16, seed=0):
+    """The matvec application on integer data (exact reductions)."""
+    rng = np.random.default_rng(seed)
+    A = session.matrix(rng.integers(-3, 4, size=(n, n)).astype(np.float64))
+    x = session.row_vector(rng.integers(-3, 4, size=n).astype(np.float64), A)
+    return matvec.matvec(A, x).y.to_numpy()
+
+
+def run_bfs(session, nodes=32, seed=0):
+    return G.bfs(session, W.random_graph(nodes, 3.0, seed=seed), 0)
 
 
 def run_primitives(session, rows=12, cols=8, seed=0):
@@ -101,11 +115,13 @@ class TestEnvFlag:
         assert Session(2, trace=False).tracer is None
 
 
+WORKLOADS = [run_gaussian, run_simplex, run_primitives, run_matvec, run_bfs]
+
+
 class TestBitIdenticalCosts:
     """The hard invariant: tracing must never change a single charge."""
 
-    @pytest.mark.parametrize("workload", [run_gaussian, run_simplex,
-                                          run_primitives])
+    @pytest.mark.parametrize("workload", WORKLOADS)
     def test_totals_identical_trace_on_and_off(self, workload):
         off = Session(4, trace=False)
         workload(off)
@@ -113,6 +129,30 @@ class TestBitIdenticalCosts:
         workload(on)
         assert on.snapshot().as_dict() == off.snapshot().as_dict()
         assert on.machine.counters.phase_times == off.machine.counters.phase_times
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_sanitized_totals_identical_trace_on_and_off(self, workload):
+        """Sanitizer hooks open spans when traced; they still charge nothing."""
+        off = Session(4, sanitize=True, trace=False)
+        workload(off)
+        on = Session(4, sanitize=True, trace=True)
+        workload(on)
+        assert on.tracer.find(name="sanitizer-checks", category="check")
+        assert on.snapshot().as_dict() == off.snapshot().as_dict()
+        assert on.machine.counters.phase_times == off.machine.counters.phase_times
+        assert on.sanitizer.stats.checks == off.sanitizer.stats.checks
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_ticks_column_sums_to_counters_time(self, workload, sanitize):
+        """The profile's ledger holds both clocks: every tick lands in
+        exactly one span's self ticks."""
+        s = Session(4, sanitize=sanitize, trace=True)
+        with s.tracer.span("run", "run"):
+            workload(s)
+        rows = s.tracer.profile(top_n=None)["phases"]
+        assert s.machine.counters.time > 0
+        assert sum(row["ticks"] for row in rows) == s.machine.counters.time
 
     def test_gaussian_pinned_totals(self):
         """Regression pin: trace-on totals equal the untraced seed values."""
