@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..comm.collectives import arg_reduce_subcubes
 from ..comm.ops import CombineOp, get_op
 from ..machine.hypercube import Hypercube
 from ..machine.pvar import PVar
@@ -75,32 +76,6 @@ def _group_reduce(
     return out
 
 
-def _group_arg(
-    machine: Hypercube,
-    val: np.ndarray,
-    idx: np.ndarray,
-    dims: Sequence[int],
-    mode: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Functional subcube arg-combine with smallest-index tie-break."""
-    if not dims:
-        return val, idx
-    mask = _dims_mask(dims)
-    keys = machine.pids() & ~mask
-    order = np.argsort(keys, kind="stable")
-    gsize = 1 << len(dims)
-    v = val[order].reshape(machine.p // gsize, gsize, *val.shape[1:])
-    i = idx[order].reshape(machine.p // gsize, gsize, *idx.shape[1:])
-    best = v.max(axis=1) if mode == "max" else v.min(axis=1)
-    ties = v == np.expand_dims(best, 1)
-    best_i = np.where(ties, i, INT64_MAX).min(axis=1)
-    out_v = np.empty_like(val)
-    out_i = np.empty_like(idx)
-    out_v[order] = np.repeat(best, gsize, axis=0)
-    out_i[order] = np.repeat(best_i, gsize, axis=0)
-    return out_v, out_i
-
-
 def _replicate_from_band(
     machine: Hypercube,
     data: np.ndarray,
@@ -113,7 +88,7 @@ def _replicate_from_band(
         return data
     mask = _dims_mask(dims)
     src = (machine.pids() & ~mask) | deposit_bits(band_code, tuple(dims))
-    return data[src]
+    return data.take(src, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +119,12 @@ class NaiveVector(DistributedVector):
         self, mode: str = "max", valid: Optional[DistributedVector] = None
     ) -> Tuple[float, int]:
         machine = self.machine
-        op = get_op("max" if mode == "max" else "min")
-        mask = self.embedding.valid_mask()
-        if valid is not None:
-            if not self.embedding.compatible(valid.embedding):
-                raise EmbeddingError("valid mask must share the vector's embedding")
-            mask = mask & valid.pvar.data.astype(bool)
-            machine.charge_flops(self.pvar.local_size)
-        ident = op.identity(self.dtype)
-        data = np.where(mask, self.pvar.data, ident)
-        machine.charge_local(self.pvar.local_size)
-        gidx = np.where(mask, self.embedding.global_indices(), INT64_MAX)
-        best_val = data.max(axis=1) if mode == "max" else data.min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        extreme = data == best_val[:, None]
-        best_idx = np.where(extreme, gidx, INT64_MAX).min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        best_idx = np.where(best_val == ident, INT64_MAX, best_idx)
+        best_val, best_idx = self._local_argreduce(mode, valid)
 
         dims = self._reduce_dims()
         sends = _charge_serial(machine, 2.0, dims)  # (value, index) pairs
         machine.charge_flops(3.0 * sends)           # serial compare chain
-        v, i = _group_arg(machine, best_val, best_idx, dims, mode)
+        v, i = arg_reduce_subcubes(machine.n, best_val, best_idx, dims, mode)
         pid = self.embedding.owner_slot_scalar(0)[0]
         value = machine.read_scalar(PVar(machine, v), pid=pid)
         index = int(machine.read_scalar(PVar(machine, i), pid=pid))
@@ -272,7 +231,7 @@ class NaiveMatrix(DistributedMatrix):
         sends = _charge_serial(machine, volume, dims)
         machine.charge_flops(3.0 * val.local_size * sends)
         _charge_serial(machine, volume, dims)
-        v, i = _group_arg(machine, val.data, idx.data, dims, mode)
+        v, i = arg_reduce_subcubes(machine.n, val.data, idx.data, dims, mode)
         i = np.where(i == INT64_MAX, -1, i)
         return (
             NaiveVector(PVar(machine, v), vec_emb),

@@ -96,29 +96,6 @@ def _root_pid_map(
     return machine.plans.memo(("root-pid", dims, root_rank), build)
 
 
-def _subcube_members(
-    machine: Hypercube, dims: Tuple[int, ...]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sub_of_pid, members)``: the subcube membership structure.
-
-    ``members[s]`` lists the ``2**k`` pids of subcube ``s`` and
-    ``sub_of_pid[pid]`` names each processor's subcube, so an
-    order-independent combine over every subcube is one gather / reduce /
-    scatter.  Memoized per ``dims``.
-    """
-
-    def build() -> Tuple[np.ndarray, np.ndarray]:
-        base = subcube_base(machine, dims)
-        uniq, sub_of_pid = np.unique(base, return_inverse=True)
-        j = np.arange(1 << len(dims), dtype=np.int64)
-        spread = np.zeros_like(j)
-        for t, d in enumerate(dims):
-            spread |= ((j >> t) & 1) << d
-        return readonly(sub_of_pid), readonly(uniq[:, None] | spread[None, :])
-
-    return machine.plans.memo(("subcube-members", dims), build)
-
-
 def broadcast(
     machine: Hypercube,
     pvar: PVar,
@@ -150,7 +127,7 @@ def broadcast(
             root_pid = _root_pid_map(machine, dims, root_rank)
             for d in dims:
                 machine.charge_comm_round(pvar.local_size, dim=d)
-            out = PVar(machine, pvar.data[root_pid])
+            out = PVar(machine, pvar.data.take(root_pid, axis=0))
             if sanitizer is not None:
                 sanitizer.audit_broadcast(machine, dims, root_rank, pvar, out)
             return out
@@ -219,6 +196,96 @@ def reduce(
     return reduce_all(machine, pvar, op, dims)
 
 
+INT64_MAX = np.iinfo(np.int64).max
+
+#: The value fold of each arg-reduce mode.
+_ARG_FOLD = {"max": np.maximum, "min": np.minimum}
+
+
+def arg_reduce_slots(
+    data: np.ndarray, mask: np.ndarray, gidx: np.ndarray, axis: int, mode: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Local stage of the arg-reduce, along each processor's slot ``axis``.
+
+    Candidates are the slots where ``mask`` holds; ``gidx`` broadcasts to
+    ``data`` with each slot's global index.  Per slice: the extreme
+    candidate value and the smallest index among the candidates equal to
+    it, the value being that winning slot's own element (the sign of a
+    ±0.0 extreme).  No candidate, an extreme equal to the op identity or a
+    NaN extreme leaves the index at ``INT64_MAX``.
+
+    Masks once, then folds the slot axis slice by slice (a NumPy reduction
+    along a short axis costs over ten times the fold); one slot is a view
+    of the masked block.  Block, cyclic and block-cyclic layouts all store
+    increasing global indices along a processor's slots, so the first slot
+    equal to the extreme holds the winning index.
+    """
+    fold = _ARG_FOLD.get(mode)
+    if fold is None:
+        raise ConfigError(f"mode must be 'max' or 'min', got {mode!r}")
+    ident = get_op(mode).identity(data.dtype)
+    masked = np.where(mask, data, ident)
+    lead = (slice(None),) * axis
+    slots = [masked[lead + (s,)] for s in range(masked.shape[axis])]
+    best = slots[0] if len(slots) == 1 else fold(slots[0], slots[1])
+    for slot in slots[2:]:
+        fold(best, slot, out=best)
+    # A NaN extreme equals no slot, so its index stays the sentinel.
+    idx = np.where(slots[-1] == best, gidx[lead + (-1,)], INT64_MAX)
+    for s in range(len(slots) - 2, -1, -1):
+        np.copyto(idx, gidx[lead + (s,)], where=slots[s] == best)
+    idx[best == ident] = INT64_MAX
+    if len(slots) > 1 and best.dtype.kind == "f":
+        zero = best == 0
+        if zero.any():
+            # The fold returns either zero; the first zero slot wins.
+            for slot in reversed(slots):
+                np.copyto(best, slot, where=zero & (slot == 0))
+    return best, idx
+
+
+def arg_reduce_subcubes(
+    n: int,
+    value: np.ndarray,
+    index: np.ndarray,
+    dims: Tuple[int, ...],
+    mode: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Subcube stage of the arg-reduce, over ``(p, …)`` partials (p = 2**n).
+
+    Every member of each subcube spanned by ``dims`` gets the extreme value
+    and the smallest index among the partials equal to it; the value is
+    that winner's own partial (the sign of a ±0.0 extreme), and a NaN
+    extreme leaves the index dtype's maximum.  (value, index) with ties to
+    the smaller index is a monoid, so the partials combine in any order:
+    cube dimension ``d`` is axis ``n - 1 - d`` of ``value.reshape((2,) * n
+    + local)``, and one call reduces all of the subcube's axes.  Returns
+    fresh arrays (the inputs when ``dims`` is empty).
+    """
+    if not dims:
+        return value, index
+    shape = (2,) * n + value.shape[1:]
+    axes = tuple(n - 1 - d for d in dims)
+    v, i = value.reshape(shape), index.reshape(shape)
+    best = _ARG_FOLD[mode].reduce(v, axis=axes, keepdims=True)
+    win = np.minimum.reduce(
+        i, axis=axes, keepdims=True, where=v == best,
+        initial=np.iinfo(index.dtype).max,
+    )
+    if best.dtype.kind == "f":
+        zero = best == 0
+        if zero.any():
+            # The reduction returns either zero; the winner's sign decides.
+            neg = np.logical_or.reduce(
+                (i == win) & np.signbit(v), axis=axes, keepdims=True
+            )
+            np.abs(best, out=best, where=zero)
+            np.negative(best, out=best, where=zero & neg)
+    out_v, out_i = np.empty(shape, value.dtype), np.empty(shape, index.dtype)
+    out_v[...], out_i[...] = best, win
+    return out_v.reshape(value.shape), out_i.reshape(index.shape)
+
+
 def reduce_all_loc(
     machine: Hypercube,
     value: PVar,
@@ -262,35 +329,24 @@ def _reduce_all_loc_impl(
         and index.dtype.kind in "iu"
         and not (value.dtype.kind == "f" and np.isnan(value.data).any())
     ):
-        # Vectorized replay: the pair-combine (larger value, ties to the
-        # smaller index) is an exact, commutative, associative semilattice
-        # on finite values, so the dimension-exchange loop below computes
-        # precisely the per-subcube (extreme value, smallest winning index)
-        # — computable in one pass.  The loop's charge schedule (two
-        # full-block exchanges plus one 3-op compare pass per dimension) is
-        # data-independent and replayed verbatim.  NaNs break the
-        # order-independence argument, so they take the loop.
+        # Replay: the pair-combine (larger value, ties to the smaller index,
+        # the winner's own value) is associative and commutative on
+        # NaN-free values, so the dimension-exchange loop below computes
+        # exactly arg_reduce_subcubes' result.  The loop's charge schedule
+        # (two full-block exchanges plus one 3-op compare pass per
+        # dimension) is data-independent and replayed verbatim.  NaNs break
+        # the order-independence argument, so they take the loop.
         machine._check_owned(value)
         machine._check_owned(index)
-        sub_of_pid, members = _subcube_members(machine, dims)
-        mv = value.data[members]  # (S, 2**k, *local)
-        mi = index.data[members]
-        if mode == "max":
-            best = mv.max(axis=1)
-        else:
-            best = mv.min(axis=1)
-        is_best = mv == np.expand_dims(best, 1)
-        sentinel = np.iinfo(mi.dtype).max
-        win_idx = np.where(is_best, mi, sentinel).min(axis=1)
+        best, win = arg_reduce_subcubes(
+            machine.n, value.data, index.data, dims, mode
+        )
         ls = val.local_size
         for d in dims:
             machine.charge_comm_round(ls, dim=d)
             machine.charge_comm_round(ls, dim=d)
             machine.charge_flops(3 * ls)
-        return (
-            PVar(machine, best[sub_of_pid]),
-            PVar(machine, win_idx[sub_of_pid]),
-        )
+        return PVar(machine, best), PVar(machine, win)
     for d in dims:
         rv = machine.exchange(val, d)
         ri = machine.exchange(idx, d)
@@ -566,7 +622,7 @@ def broadcast_pipelined(
         machine.charge_comm_round(piece, rounds=2 * k - 1)
         # functional result: everyone gets the root's block
         root_pid = _root_pid_map(machine, dims, root_rank)
-        out = PVar(machine, pvar.data[root_pid])
+        out = PVar(machine, pvar.data.take(root_pid, axis=0))
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             sanitizer.audit_broadcast(machine, dims, root_rank, pvar, out)

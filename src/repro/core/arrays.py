@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .. import comm
+from ..comm.collectives import arg_reduce_slots
 from ..comm.ops import CombineOp, get_op
 from ..errors import ConfigError, EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
@@ -246,37 +247,7 @@ class DistributedVector:
         same embedding); with no candidate at all the returned index is -1.
         """
         machine = self.machine
-        op = get_op("max" if mode == "max" else "min")
-        mask = self.embedding.valid_mask()
-        if self.pvar.data.ndim > mask.ndim:
-            mask = mask[..., None]  # broadcast over the run axis
-        if valid is not None:
-            if not self.embedding.compatible(valid.embedding):
-                raise EmbeddingError(
-                    f"valid mask must share the vector's embedding: "
-                    f"{self.embedding.signature()} vs "
-                    f"{valid.embedding.signature()}"
-                )
-            mask = mask & valid.pvar.data.astype(bool)
-            machine.charge_flops(self.pvar.local_size)
-        ident = op.identity(self.dtype)
-        data = np.where(mask, self.pvar.data, ident)
-        machine.charge_local(self.pvar.local_size)
-        gi = self.embedding.global_indices()
-        if data.ndim > gi.ndim:
-            gi = gi[..., None]
-        gidx = np.where(mask, gi, INT64_MAX)
-        # Local arg-reduce over the (p, capacity) block: one serial scan,
-        # ties to the smallest global index.
-        if mode == "max":
-            best_val = data.max(axis=1)
-        else:
-            best_val = data.min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        extreme = data == np.expand_dims(best_val, 1)
-        best_idx = np.where(extreme, gidx, INT64_MAX).min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        best_idx = np.where(best_val == ident, INT64_MAX, best_idx)
+        best_val, best_idx = self._local_argreduce(mode, valid)
         val_pv, idx_pv = comm.reduce_all_loc(
             machine,
             PVar(machine, best_val),
@@ -295,6 +266,34 @@ class DistributedVector:
         if index == INT64_MAX:
             index = -1
         return value, index
+
+    def _local_argreduce(
+        self, mode: str, valid: Optional["DistributedVector"]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-processor (value, global index) partials of ``argreduce``:
+        mask padding and invalid slots, then one serial scan with the
+        tie-break (absent candidates carry the INT64-max sentinel)."""
+        machine = self.machine
+        mask = self.embedding.valid_mask()
+        if self.pvar.data.ndim > mask.ndim:
+            mask = mask[..., None]  # broadcast over the run axis
+        if valid is not None:
+            if not self.embedding.compatible(valid.embedding):
+                raise EmbeddingError(
+                    f"valid mask must share the vector's embedding: "
+                    f"{self.embedding.signature()} vs "
+                    f"{valid.embedding.signature()}"
+                )
+            mask = mask & valid.pvar.data.astype(bool, copy=False)
+            machine.charge_flops(self.pvar.local_size)
+        gi = self.embedding.global_indices()
+        if self.pvar.data.ndim > gi.ndim:
+            gi = gi[..., None]
+        partials = arg_reduce_slots(self.pvar.data, mask, gi, 1, mode)
+        machine.charge_local(self.pvar.local_size)
+        machine.charge_flops(self.pvar.local_size)
+        machine.charge_flops(self.pvar.local_size)
+        return partials
 
     def argmax(self) -> Tuple[float, int]:
         return self.argreduce("max")

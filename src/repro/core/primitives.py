@@ -45,7 +45,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .. import comm
-from ..comm.collectives import _root_pid_map
+from ..comm.collectives import _root_pid_map, arg_reduce_slots
 from ..comm.ops import CombineOp, get_op
 from ..machine.pvar import PVar
 from ..machine.router import Router
@@ -159,7 +159,7 @@ def extract(
             for d in vec_emb.across_dims:
                 machine.charge_comm_round(share, dim=d)
             return (
-                PVar(machine, local[root_pid]),
+                PVar(machine, local.take(root_pid, axis=0)),
                 _aligned_embedding(emb, axis, None),
             )
 
@@ -394,9 +394,6 @@ def local_reduce_loc(
     index sentinel.
     """
     _check_axis(axis)
-    if mode not in ("max", "min"):
-        raise ConfigError(f"mode must be 'max' or 'min', got {mode!r}")
-    op = get_op("max" if mode == "max" else "min")
     machine = emb.machine
 
     mask = emb.valid_mask()
@@ -405,11 +402,8 @@ def local_reduce_loc(
     if valid is not None:
         if valid.local_shape != pvar.local_shape:
             raise ShapeError("valid mask must match the matrix local shape")
-        mask = mask & valid.data.astype(bool)
+        mask = mask & valid.data.astype(bool, copy=False)
         machine.charge_flops(pvar.local_size)
-    ident = op.identity(pvar.dtype)
-    data = np.where(mask, pvar.data, ident)
-    machine.charge_local(pvar.local_size)
 
     # Global index of every local slot along the reduced axis (wired-in
     # address arithmetic: free to form, charged when moved).
@@ -419,30 +413,19 @@ def local_reduce_loc(
     else:
         base = emb.global_rows()[:, :, None]
         local_axis = 1
-    base = base.reshape(base.shape + (1,) * (data.ndim - base.ndim))
-    gidx = np.broadcast_to(base, data.shape)
-    gidx = np.where(mask, gidx, INT64_MAX)
+    base = base.reshape(base.shape + (1,) * (pvar.data.ndim - base.ndim))
 
-    # Local arg-reduce: a serial scan over the local block.
-    if mode == "max":
-        best_slot = np.argmax(data, axis=local_axis)
-    else:
-        best_slot = np.argmin(data, axis=local_axis)
+    # Local arg-reduce: one masking pass, then a serial scan.  Block,
+    # cyclic and block-cyclic layouts all store increasing global indices
+    # along a processor's slots, so the first extremal slot holds the
+    # smallest index; the tie-break matters across processors, where
+    # reduce_all_loc breaks ties by index.
+    best_val, best_idx = arg_reduce_slots(
+        pvar.data, mask, base, local_axis, mode
+    )
+    machine.charge_local(pvar.local_size)
     machine.charge_flops(pvar.local_size)
-    best_val = np.take_along_axis(
-        data, np.expand_dims(best_slot, local_axis), local_axis
-    ).squeeze(local_axis)
-    best_idx = np.take_along_axis(
-        gidx, np.expand_dims(best_slot, local_axis), local_axis
-    ).squeeze(local_axis)
-    # argmax/argmin pick the first extremal slot, but "first local slot"
-    # is not "smallest global index" under cyclic layouts or across the
-    # subcube; reduce_all_loc enforces the global tie-break, and we fix the
-    # local tie-break by re-scanning for the smallest index among ties.
-    extreme = np.expand_dims(best_val, local_axis) == data
-    tie_idx = np.where(extreme, gidx, INT64_MAX).min(axis=local_axis)
     machine.charge_flops(pvar.local_size)
-    best_idx = np.where(best_val == ident, INT64_MAX, tie_idx)
 
     val_pv = PVar(machine, best_val)
     idx_pv = PVar(machine, best_idx)

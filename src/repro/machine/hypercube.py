@@ -693,7 +693,7 @@ class Hypercube:
         # With ABFT wire protection each block carries one checksum word.
         volume = pvar.local_size + 1 if self.abft is not None else pvar.local_size
         self.charge_comm_round(volume, dim=dim)
-        out = PVar(self, src[self._neighbor[dim]])
+        out = PVar(self, src.take(self._neighbor[dim], axis=0))
         sanitizer = self.sanitizer
         if sanitizer is not None:
             # Audit against the captured block: a flip landing during the
@@ -715,7 +715,7 @@ class Hypercube:
         """
         self._check_dim(dim)
         self._check_owned(pvar)
-        return PVar(self, pvar.data[self._neighbor[dim]])
+        return PVar(self, pvar.data.take(self._neighbor[dim], axis=0))
 
     # -- host access -------------------------------------------------------------
 

@@ -83,8 +83,33 @@ def run_remap_loop(plan_cache):
     return machine.snapshot(), outputs, machine
 
 
-@pytest.mark.parametrize("runner", [run_gaussian, run_simplex],
-                         ids=["gaussian", "simplex"])
+def run_signed_zero_argreduce(plan_cache):
+    """Arg-reduces whose extremes tie between -0.0 and +0.0: matrix
+    argreduce on both axes and modes and every column's vector argreduce.
+    The result is their raw bytes, since -0.0 == 0.0."""
+    A = np.full((4, 4), -1.0)
+    A[0, 0], A[0, 3], A[2, 1], A[2, 2] = -0.0, 0.0, 0.0, -0.0
+    B = np.random.default_rng(5).integers(-2, 3, size=(13, 11)).astype(float)
+    B = np.copysign(B, np.random.default_rng(6).choice([-1.0, 1.0], B.shape))
+    s = Session(4, plan_cache=plan_cache)
+    outputs = []
+    for M in (s.matrix(A), s.matrix(B)):
+        for axis in (0, 1):
+            for mode in ("max", "min"):
+                v, i = M.argreduce(axis=axis, mode=mode)
+                outputs += [v.pvar.data.tobytes(), i.pvar.data.tobytes()]
+        for j in range(M.shape[1]):
+            for mode in ("max", "min"):
+                value, index = M.extract(axis=1, index=j).argreduce(mode)
+                outputs.append(np.float64(value).tobytes())
+                outputs.append(np.int64(index).tobytes())
+    return s.snapshot(), np.frombuffer(b"".join(outputs), np.uint8), s
+
+
+@pytest.mark.parametrize(
+    "runner", [run_gaussian, run_simplex, run_signed_zero_argreduce],
+    ids=["gaussian", "simplex", "signed-zero-argreduce"],
+)
 def test_solvers_bit_identical(runner):
     snap_on, x_on, s_on = runner(plan_cache=True)
     snap_off, x_off, s_off = runner(plan_cache=False)
