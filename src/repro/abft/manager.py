@@ -34,32 +34,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 import numpy as np
 
 from ..errors import ConfigError, CorruptionError
-from .panels import byte_view, checksum_panels, correct_single, locate
-
-
-def _batched_clean(entries: List[Tuple[Any, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Per-entry clean flags, computed in one stacked byte pass.
-
-    All registered blocks share the machine's processor axis, so their
-    byte images concatenate into one ``(p, total_bytes)`` array: one
-    segmented column reduction and one row sum diagnose every block at
-    once.  A block is clean exactly when :func:`~repro.abft.panels.locate`
-    would say so — both panels match bit-for-bit mod ``2**64``.
-    """
-    views = [byte_view(pv.data) for pv, _, _ in entries]
-    widths = np.array([v.shape[1] for v in views], dtype=np.intp)
-    if len(entries) < 2 or widths.min() == 0:
-        # Degenerate registries: let the per-block path diagnose.
-        return np.zeros(len(entries), dtype=bool)
-    u8 = np.concatenate(views, axis=1)
-    offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
-    cols = np.add.reduceat(u8, offsets, axis=1, dtype=np.uint64)
-    rows = u8.sum(axis=0, dtype=np.uint64)
-    col_ref = np.stack([col for _, col, _ in entries], axis=1)
-    row_ref = np.concatenate([row for _, _, row in entries])
-    col_ok = (cols == col_ref).all(axis=0)
-    row_ok = ~np.logical_or.reduceat(rows != row_ref, offsets)
-    return col_ok & row_ok
+from .panels import checksum_panels, correct_single, locate
 
 
 @dataclass
@@ -188,12 +163,13 @@ class ABFTManager:
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             sanitizer.audit_abft_panels(machine, pvar, (col, row))
+        local = pvar.local_size
         with machine.phase("abft-maintain"):
             # Column word: one fold over the local block.  Row panel: an
             # n-round exchange accumulating per-slot sums across the cube.
-            machine.charge_flops(pvar.local_size)
-            machine.charge_comm_round(pvar.local_size, rounds=machine.n)
-            machine.charge_flops(machine.n * pvar.local_size)
+            machine.charge_flops(local)
+            machine.charge_comm_round(local, rounds=machine.n)
+            machine.charge_flops(machine.n * local)
         while len(self._registry) > self.keep:
             _, (old_pv, old_col, old_row) = self._registry.popitem(last=False)
             # Guard-on-evict: verify the retiree so corruption cannot
@@ -202,7 +178,7 @@ class ABFTManager:
             with machine.phase("abft-verify"):
                 machine.charge_comm_round(1.0, rounds=machine.n)
                 machine.charge_flops(2 * old_pv.local_size)
-                self._check(old_pv, old_col, old_row)
+                self._verify(old_pv, old_col, old_row)
         if self.scrub_interval and self.stats.protected % self.scrub_interval == 0:
             self.scrub()
 
@@ -214,9 +190,7 @@ class ABFTManager:
         One shared one-word agreement round is charged first — the single
         point where the fault injector may fire during the guard — then
         each block pays a two-panel recompute and is checked against the
-        post-poll data.  The blocks' panels are recomputed in one stacked
-        byte pass (:func:`_batched_clean`); only blocks whose panels
-        diverge run the full per-block diagnosis.
+        post-poll data.
         """
         entries = []
         seen = set()
@@ -233,13 +207,12 @@ class ABFTManager:
         machine = self.machine
         with machine.phase("abft-verify"):
             machine.charge_comm_round(1.0, rounds=machine.n)
-            # The injector only fires inside charged comm rounds, so the
-            # data is final here; diagnose all blocks at once.
-            clean = _batched_clean(entries)
-            for ok, (pv, col, row) in zip(clean, entries):
+            # The injector only fires inside charged comm rounds, and a
+            # repair replaces one block's array without writing into a
+            # shared one, so every block's data is final from here on.
+            for pv, col, row in entries:
                 machine.charge_flops(2 * pv.local_size)
-                if not ok:
-                    self._check(pv, col, row)
+                self._verify(pv, col, row)
         self.stats.verifies += len(entries)
 
     def scrub(self) -> int:
@@ -252,13 +225,21 @@ class ABFTManager:
             machine.charge_comm_round(1.0, rounds=machine.n)
             for pv, col, row in entries:
                 machine.charge_flops(2 * pv.local_size)
-                self._check(pv, col, row)
+                self._verify(pv, col, row)
         self.stats.scrubs += 1
         self.stats.verifies += len(entries)
         tracer = machine.tracer
         if tracer is not None:
             tracer.instant("abft:scrub", "abft", blocks=len(entries))
         return len(entries)
+
+    def _verify(self, pvar: Any, col: np.ndarray, row: np.ndarray) -> None:
+        """Recompute one block's panels and compare them with the reference
+        byte for byte; only a divergent block is diagnosed."""
+        now_col, now_row = checksum_panels(pvar.data)
+        if (now_col.tobytes() != col.tobytes()
+                or now_row.tobytes() != row.tobytes()):
+            self._check(pvar, col, row)
 
     def _check(self, pvar: Any, col: np.ndarray, row: np.ndarray) -> None:
         """Diagnose one block; correct a single corrupt byte or escalate."""

@@ -18,6 +18,7 @@ charges for (see :class:`~repro.abft.manager.ABFTManager`).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,16 +35,32 @@ def byte_view(data: np.ndarray) -> np.ndarray:
     return flat.view(np.uint8).reshape(p, -1)
 
 
-def checksum_panels(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(col_panel, row_panel)`` of a block, in ``Z/2**64``.
+@functools.lru_cache(maxsize=64)
+def _ones(n: int) -> np.ndarray:
+    """A read-only float64 ones vector of length ``n`` (shared by callers)."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
-    ``col_panel[i]`` sums processor ``i``'s local bytes; ``row_panel[j]``
-    sums byte slot ``j`` across processors.  Sums are exact uint64
-    integers (they wrap mod ``2**64``, which the correction math honours).
+
+def checksum_panels(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(col_panel, row_panel)`` of a block, as uint64 words.
+
+    ``col_panel[i]`` sums processor ``i``'s ``B`` local bytes;
+    ``row_panel[j]`` sums byte slot ``j`` across the ``p`` processors.
+    Both come from two float64 BLAS passes over the byte image (``f·1``
+    and ``1·f``), cast back to uint64, and both are exact: a word sums
+    at most ``max(p, B)`` bytes of value <= 255, so while that count is
+    below ``2**45`` every partial sum, in any order, is an integer below
+    ``2**53``, which float64 holds exactly, as does the cast back.  The
+    words equal the integer byte sums, which could wrap mod ``2**64`` only
+    past ``2**56`` bytes; :func:`locate` takes its deltas mod ``2**64``.
     """
     u8 = byte_view(data)
-    col = u8.sum(axis=1, dtype=np.uint64)
-    row = u8.sum(axis=0, dtype=np.uint64)
+    f = u8.astype(np.float64)
+    # ndarray.dot calls BLAS gemv directly; ``@`` adds the ufunc dispatch.
+    col = f.dot(_ones(u8.shape[1])).astype(np.uint64)
+    row = _ones(u8.shape[0]).dot(f).astype(np.uint64)
     return col, row
 
 

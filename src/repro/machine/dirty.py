@@ -27,17 +27,24 @@ def block_signatures(host: np.ndarray, blocks: int) -> np.ndarray:
     """``(blocks,)`` uint64 byte-sum signatures of ``host``'s byte image.
 
     The flat byte image is split into ``blocks`` near-equal spans
-    (``np.array_split`` semantics); each span sums to one exact uint64
-    word (wrapping mod ``2**64``).  Empty spans (more blocks than bytes)
-    sign as zero.
+    (``np.array_split`` semantics: the first ``nbytes % blocks`` spans
+    hold one byte more); each span sums to one exact uint64 word
+    (wrapping mod ``2**64``).  Empty spans (more blocks than bytes) sign
+    as zero.
     """
     if blocks < 1:
         raise ConfigError(f"block count must be >= 1, got {blocks}")
     flat = np.ascontiguousarray(host).reshape(-1).view(np.uint8)
-    return np.array(
-        [span.sum(dtype=np.uint64) for span in np.array_split(flat, blocks)],
-        dtype=np.uint64,
-    )
+    size, extra = divmod(flat.size, blocks)
+    # Only the first min(blocks, nbytes) spans are non-empty; reduceat
+    # would sign an empty span with the byte at its repeated offset.
+    span = np.arange(min(blocks, flat.size))
+    signatures = np.zeros(blocks, dtype=np.uint64)
+    if span.size:
+        signatures[: span.size] = np.add.reduceat(
+            flat, span * size + np.minimum(span, extra), dtype=np.uint64
+        )
+    return signatures
 
 
 __all__ = ["block_signatures"]

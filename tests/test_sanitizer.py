@@ -77,6 +77,29 @@ def test_lost_elements_are_caught():
         machine.charge_comm_round(4.0, dim=1)
 
 
+def test_broken_panel_kernel_is_caught_at_protection(monkeypatch):
+    """The panel audit keeps its own byte-sum reference: a kernel whose
+    row panel is off by one fails the first protection, even when every
+    module that imported the kernel sees the broken copy."""
+    import repro.abft.manager
+    import repro.abft.panels
+
+    honest = repro.abft.panels.checksum_panels
+
+    def off_by_one(data):
+        col, row = honest(data)
+        row = row.copy()
+        row[0] += np.uint64(1)
+        return col, row
+
+    monkeypatch.setattr(repro.abft.panels, "checksum_panels", off_by_one)
+    monkeypatch.setattr(repro.abft.manager, "checksum_panels", off_by_one)
+    s = Session(3, abft=True, sanitize=True)
+    with pytest.raises(SanitizerError, match=r"abft-panel-identity"):
+        s.vector(np.arange(8.0))
+    assert s.sanitizer.stats.checks["abft-panels"] == 1
+
+
 def test_honest_machine_passes_selftest():
     report = sanitizer_selftest()
     assert report["passed"]
