@@ -11,8 +11,9 @@ Charge fidelity: :func:`repro.core.primitives.extract` charges one local
 pass over the slice extent plus one full-share communication round per
 orthogonal grid dimension (fused and unfused paths charge identically);
 :func:`~repro.core.primitives.insert` charges one local pass;
-:meth:`~repro.machine.hypercube.Hypercube.read_scalar` charges one
-single-element bus transfer.  Each helper below replays exactly that.
+:meth:`~repro.machine.hypercube.Hypercube.charge_host_read` charges the
+one single-element bus transfer of a host read.  Each helper below
+replays exactly that.
 
 Inactive lanes: indices are clamped to 0 so the stacked computation stays
 in bounds; their data is either never written (:func:`lane_insert` masks
@@ -78,14 +79,6 @@ def _slice_owner_lanes(emb, axis: int, idx: np.ndarray):
         owners, slots = emb.col_owner_table()
         return owners[idx], slots[idx]
     return emb.col_layout.owner(idx), emb.col_layout.slot(idx)
-
-
-def _charge_bus_read(machine) -> None:
-    """Charge one single-element front-end bus read (as ``read_scalar``)."""
-    time = machine._round_cost.get(1)
-    if time is None:
-        time = machine._round_cost[1] = machine.cost_model.comm_round(1)
-    machine.counters.charge_transfer(1, 1, time)
 
 
 def lane_extract(
@@ -221,7 +214,7 @@ def lane_get_global(
     lanes = np.arange(machine.n_runs)
     values = vec.pvar.data[pids, slots, lanes].copy()
     with machine.lanes(act):
-        _charge_bus_read(machine)
+        machine.charge_host_read()
     return values
 
 
@@ -240,7 +233,7 @@ def lane_get_global_matrix(
     lanes = np.arange(machine.n_runs)
     values = M.pvar.data[pids, sr, sc, lanes].copy()
     with machine.lanes(act):
-        _charge_bus_read(machine)
+        machine.charge_host_read()
     return values
 
 

@@ -41,10 +41,15 @@ hook                 invariant
                      root map (catches stale collective plans)
 ``audit_replicated`` after an all-reduce, subcube members hold identical
                      blocks (sound: all combine ops are commutative)
+``audit_read_argreduce``
+                     a vector arg-reduce returned, bit for bit, what its
+                     full collective leaves on the reading processor,
+                     recomputed over all ``p`` processors
 ``audit_vector_embedding`` / ``audit_matrix_embedding``
                      every element placed exactly once (≥ once when
                      replicated) and per-processor load within the paper's
-                     ``⌈m/p⌉`` bound
+                     ``⌈m/p⌉`` bound per axis (whole blocks per part for
+                     block-cyclic layouts)
 ``audit_abft_panels`` stored checksum panels match a from-scratch
                      recomputation of the protected block's byte image
 ``on_epoch_bump``    topology epochs strictly increase
@@ -140,6 +145,35 @@ def _array_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if a.dtype.kind in "fc":
         return bool(np.array_equal(a, b, equal_nan=True))
     return bool(np.array_equal(a, b))
+
+
+def _bits_equal(a: Any, b: Any) -> bool:
+    """Bit-for-bit equality; two NaNs count as equal whatever their
+    payloads (a recompute's local extreme may pick another NaN operand
+    than the kernel under audit)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.kind in "fc":
+        nan = np.isnan(a)
+        if not np.array_equal(nan, np.isnan(b)):
+            return False
+        zero = a.dtype.type(0)
+        a, b = np.where(nan, zero, a), np.where(nan, zero, b)
+    return a.tobytes() == b.tobytes()
+
+
+def _axis_bound(layout: Any, n: int, parts: int) -> int:
+    """Most items one part may hold of an ``n``-item axis over ``parts``.
+
+    ⌈n/parts⌉ for block and cyclic layouts.  A block-cyclic layout with
+    block ``B`` deals whole blocks, so one part may hold
+    ``B·⌈⌈n/B⌉/parts⌉`` items.
+    """
+    from ..embeddings.layout import BlockCyclicLayout
+
+    block = layout.block if isinstance(layout, BlockCyclicLayout) else 1
+    return block * math.ceil(math.ceil(n / block) / parts)
 
 
 def _fingerprint(value: Any) -> Tuple:
@@ -627,6 +661,54 @@ class MachineSanitizer:
                 f"differing blocks",
             )
 
+    # -- host-read arg-reduce ----------------------------------------------------
+
+    @_checks_span
+    def audit_read_argreduce(
+        self, vec: Any, valid: Any, mode: str, value: Any, index: Any
+    ) -> None:
+        """``DistributedVector.argreduce`` returned what ``reduce_all_loc``
+        leaves on the reading processor.
+
+        The reference runs on all ``p`` processors: per processor the
+        extreme candidate, the first slot holding it (its own element and
+        global index; the index dtype's maximum for no candidate, the op
+        identity or a NaN), then the pair-combine exchange loop over the
+        reduce dimensions, read at the owner of element 0.
+        """
+        from ..comm.ops import get_op
+
+        self.stats.count("read-site")
+        emb = vec.embedding
+        pids = vec.machine.pids()
+        pid = int(np.asarray(emb.owner_slot(0)[0]))  # uncached
+        data = np.asarray(vec.pvar.data)
+        mask = emb._compute_valid_mask()
+        if valid is not None:
+            mask = mask & np.asarray(valid.pvar.data).astype(bool)
+        ident = get_op(mode).identity(data.dtype)
+        masked = np.where(mask, data, ident)
+        best = masked.max(axis=1) if mode == "max" else masked.min(axis=1)
+        hit = masked == best[:, None]
+        found = hit.any(axis=1)  # False only for a NaN extreme
+        first = hit.argmax(axis=1)
+        val = np.where(found, masked[pids, first], best)
+        idx = emb._compute_global_indices()[pids, first].astype(np.int64)
+        idx[~found | (best == ident)] = np.iinfo(np.int64).max
+        for d in vec._reduce_dims():
+            partner = pids ^ (1 << d)
+            rv, ri = val[partner], idx[partner]
+            better = rv > val if mode == "max" else rv < val
+            take = better | ((rv == val) & (ri < idx))
+            val, idx = np.where(take, rv, val), np.where(take, ri, idx)
+        if not (_bits_equal(value, val[pid]) and _bits_equal(index, idx[pid])):
+            self._fail(
+                "read-site-argreduce",
+                f"arg{mode} over {emb!r} read ({value!r}, {index!r}) on pid "
+                f"{pid}, but the full exchange loop leaves "
+                f"({val[pid]!r}, {idx[pid]!r})",
+            )
+
     # -- embeddings --------------------------------------------------------------
 
     @_checks_span
@@ -642,9 +724,8 @@ class MachineSanitizer:
         idx = np.asarray(emb.global_indices())
         per_pid = mask.reshape(machine.p, -1).sum(axis=1)
         copies = np.bincount(idx[mask].ravel(), minlength=emb.L)
-        order_dims = emb.order_dims
-        holders = 1 << len(order_dims)
-        bound = math.ceil(emb.L / holders)
+        holders = 1 << len(emb.order_dims)
+        bound = _axis_bound(emb.along_layout, emb.L, holders)
         if per_pid.max(initial=0) > bound:
             self._fail(
                 "embedding-balance",
@@ -668,17 +749,20 @@ class MachineSanitizer:
 
     @_checks_span
     def audit_matrix_embedding(self, emb: Any) -> None:
-        """Grid balance: local blocks within ⌈R/Pr⌉×⌈C/Pc⌉, all elements placed."""
+        """Grid balance: local blocks within ⌈R/Pr⌉×⌈C/Pc⌉ (whole blocks
+        per axis for block-cyclic layouts), all elements placed."""
         self.stats.count("embedding")
         machine = emb.machine
         mask = np.asarray(emb.valid_mask())
         per_pid = mask.reshape(machine.p, -1).sum(axis=1)
-        bound = math.ceil(emb.R / emb.Pr) * math.ceil(emb.C / emb.Pc)
+        bound = _axis_bound(emb.row_layout, emb.R, emb.Pr) * _axis_bound(
+            emb.col_layout, emb.C, emb.Pc
+        )
         if per_pid.max(initial=0) > bound:
             self._fail(
                 "embedding-balance",
                 f"{emb!r}: a processor holds {int(per_pid.max())} elements, "
-                f"above the ⌈R/Pr⌉·⌈C/Pc⌉ bound {bound}",
+                f"above the per-axis bound {bound}",
             )
         total = int(per_pid.sum())
         if total != emb.R * emb.C:

@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 from ..machine.hypercube import Hypercube
 from ..machine.plans import readonly
-from ..machine.pvar import PVar
+from ..machine.pvar import PVar, _machine_local_size
 from ..obs.tracer import maybe_span
 from .ops import CombineOp, get_op
 
@@ -74,6 +74,31 @@ def subcube_base(machine: Hypercube, dims: Sequence[int]) -> np.ndarray:
         return readonly(machine.pids() & ~mask)
 
     return machine.plans.memo(("subcube-base", dims), build)
+
+
+def reading_subcube(
+    machine: Hypercube, dims: Tuple[int, ...], pid: int
+) -> Tuple[np.ndarray, int]:
+    """The ``dims``-subcube that holds processor ``pid``.
+
+    Returns its member pids ordered by subcube rank (rank bit ``j`` is
+    cube dimension ``dims[j]``) and ``pid``'s own rank among them.
+    Subcubes never exchange with each other, so these ``2**k`` members
+    alone decide what ``pid`` holds after a collective over ``dims``.
+    Memoized per ``(dims, pid)`` on the plan cache (read-only).
+    """
+
+    def build() -> Tuple[np.ndarray, int]:
+        ranks = np.arange(1 << len(dims), dtype=np.int64)
+        members = np.full_like(ranks, pid)
+        pos = 0
+        for j, d in enumerate(dims):
+            members &= ~(1 << d)
+            members |= ((ranks >> j) & 1) << d
+            pos |= ((pid >> d) & 1) << j
+        return readonly(members), pos
+
+    return machine.plans.memo(("reading-subcube", dims, pid), build)
 
 
 def _root_pid_map(
@@ -333,35 +358,102 @@ def _reduce_all_loc_impl(
         # the winner's own value) is associative and commutative on
         # NaN-free values, so the dimension-exchange loop below computes
         # exactly arg_reduce_subcubes' result.  The loop's charge schedule
-        # (two full-block exchanges plus one 3-op compare pass per
-        # dimension) is data-independent and replayed verbatim.  NaNs break
-        # the order-independence argument, so they take the loop.
+        # is data-independent and replayed verbatim.  NaNs break the
+        # order-independence argument, so they take the loop.
         machine._check_owned(value)
         machine._check_owned(index)
         best, win = arg_reduce_subcubes(
             machine.n, value.data, index.data, dims, mode
         )
-        ls = val.local_size
-        for d in dims:
-            machine.charge_comm_round(ls, dim=d)
-            machine.charge_comm_round(ls, dim=d)
-            machine.charge_flops(3 * ls)
+        _charge_pair_exchange(machine, dims, val.local_size)
         return PVar(machine, best), PVar(machine, win)
     for d in dims:
         rv = machine.exchange(val, d)
         ri = machine.exchange(idx, d)
-        if mode == "max":
-            better = rv.data > val.data
-        else:
-            better = rv.data < val.data
-        tie = (rv.data == val.data) & (ri.data < idx.data)
-        take = better | tie
-        new_val = np.where(take, rv.data, val.data)
-        new_idx = np.where(take, ri.data, idx.data)
+        new_val, new_idx = _pair_combine(
+            (val.data, idx.data), (rv.data, ri.data), mode
+        )
         machine.charge_flops(3 * val.local_size)  # compare, tie-break, select
         val = PVar(machine, new_val)
         idx = PVar(machine, new_idx)
     return val, idx
+
+
+def _pair_combine(
+    own: Tuple[np.ndarray, np.ndarray],
+    partner: Tuple[np.ndarray, np.ndarray],
+    mode: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exchange loop's (value, index) combine: take the partner's pair
+    when its value is better, or equal with a smaller index."""
+    (val, idx), (rv, ri) = own, partner
+    better = rv > val if mode == "max" else rv < val
+    take = better | ((rv == val) & (ri < idx))
+    return np.where(take, rv, val), np.where(take, ri, idx)
+
+
+def _charge_pair_exchange(
+    machine: Hypercube, dims: Tuple[int, ...], ls: int
+) -> None:
+    """The exchange loop's schedule: per dimension, two ``ls``-element
+    rounds (value, then index) and one 3-op compare/tie-break/select."""
+    for d in dims:
+        machine.charge_comm_round(ls, dim=d)
+        machine.charge_comm_round(ls, dim=d)
+        machine.charge_flops(3 * ls)
+
+
+def _fold_to_reader(
+    value: np.ndarray, index: np.ndarray, pos: int, mode: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (value, index) block that subcube rank ``pos`` holds after the
+    exchange loop of :func:`reduce_all_loc`.
+
+    ``value``/``index`` hold ``2**k`` members' partials ordered by subcube
+    rank.  Step ``j`` of the loop gives every member :func:`_pair_combine`
+    of its own pair and its partner's across rank bit ``j``.  Later steps
+    keep bit ``j``, so after step ``j`` only the half whose bit ``j``
+    matches ``pos`` can reach the reader: ``2**k - 1`` combines in all,
+    each exactly the loop's own.
+    """
+    k = value.shape[0].bit_length() - 1
+    val = value.reshape((2,) * k + value.shape[1:])
+    idx = index.reshape((2,) * k + index.shape[1:])
+    for j in range(k):
+        bit = (pos >> j) & 1
+        lead = (slice(None),) * (k - 1 - j)  # rank bit j: last rank axis left
+        own, partner = lead + (bit,), lead + (1 - bit,)
+        val, idx = _pair_combine(
+            (val[own], idx[own]), (val[partner], idx[partner]), mode
+        )
+    return val, idx
+
+
+def reduce_all_loc_to_reader(
+    machine: Hypercube,
+    value: np.ndarray,
+    index: np.ndarray,
+    dims: Tuple[int, ...],
+    pos: int,
+    mode: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`reduce_all_loc` over ``dims`` as one reader sees it.
+
+    ``value``/``index`` are the partials of the reader's subcube members
+    by rank (see :func:`reading_subcube`) and ``pos`` is the reader's
+    rank.  Returns the (value, index) the exchange loop leaves on the
+    reader, bit for bit for every input (the fold is the loop restricted
+    to the members, so NaN partials and ±0.0 ties come out as the loop
+    leaves them), and charges the loop's schedule inside the same span.
+    """
+    ls = _machine_local_size(machine, value.shape)
+    with maybe_span(
+        machine, "reduce_all_loc", "collective",
+        dims=list(dims), volume=ls, mode=mode,
+    ):
+        best, win = _fold_to_reader(value, index, pos, mode)
+        _charge_pair_exchange(machine, dims, ls)
+        return best, win
 
 
 def scan(

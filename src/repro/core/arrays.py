@@ -19,7 +19,11 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .. import comm
-from ..comm.collectives import arg_reduce_slots
+from ..comm.collectives import (
+    arg_reduce_slots,
+    reading_subcube,
+    reduce_all_loc_to_reader,
+)
 from ..comm.ops import CombineOp, get_op
 from ..errors import ConfigError, EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
@@ -38,6 +42,21 @@ from . import primitives
 Scalar = Union[int, float, bool, np.generic]
 
 INT64_MAX = np.iinfo(np.int64).max
+
+
+def _reduces_at_reader(machine: Hypercube) -> bool:
+    """Whether ``DistributedVector.argreduce`` computes only the reading
+    processor's subcube.
+
+    Otherwise the full collective runs, as it always did, for three
+    reasons: with the plan cache off the exchange loop is the reference
+    every replay is checked against; a fault injector aims bit flips at
+    the PVars each call builds; and ABFT charges a wire checksum word per
+    exchange that the replayed schedule does not.
+    """
+    return (
+        machine.plans.enabled and machine.faults is None and machine.abft is None
+    )
 
 
 class DistributedVector:
@@ -247,18 +266,35 @@ class DistributedVector:
         same embedding); with no candidate at all the returned index is -1.
         """
         machine = self.machine
-        best_val, best_idx = self._local_argreduce(mode, valid)
-        val_pv, idx_pv = comm.reduce_all_loc(
-            machine,
-            PVar(machine, best_val),
-            PVar(machine, best_idx),
-            dims=self._reduce_dims(),
-            mode=mode,
-        )
-        # One subcube member reports to the host.
-        pid = self.embedding.owner_slot_scalar(0)[0]
-        value = machine.read_scalar(val_pv, pid=pid)
-        index = machine.read_scalar(idx_pv, pid=pid)
+        dims = self._reduce_dims()
+        if _reduces_at_reader(machine):
+            # Only the subcube of the processor that reports to the host
+            # (the owner of element 0) decides what the host reads.
+            pid = self.embedding.owner_slot_scalar(0)[0]
+            members, pos = reading_subcube(machine, dims, pid)
+            rows = None if dims == machine.dims else members
+            best_val, best_idx = self._local_argreduce(mode, valid, rows)
+            value, index = reduce_all_loc_to_reader(
+                machine, best_val, best_idx, dims, pos, mode
+            )
+            sanitizer = machine.sanitizer
+            if sanitizer is not None:
+                sanitizer.audit_read_argreduce(self, valid, mode, value, index)
+            value = machine.read_block(value)
+            index = machine.read_block(index)
+        else:
+            best_val, best_idx = self._local_argreduce(mode, valid)
+            val_pv, idx_pv = comm.reduce_all_loc(
+                machine,
+                PVar(machine, best_val),
+                PVar(machine, best_idx),
+                dims=dims,
+                mode=mode,
+            )
+            # One subcube member reports to the host.
+            pid = self.embedding.owner_slot_scalar(0)[0]
+            value = machine.read_scalar(val_pv, pid=pid)
+            index = machine.read_scalar(idx_pv, pid=pid)
         if machine.n_runs is not None:
             # Batched: per-lane (value, index) vectors on the host.
             return value, np.where(index == INT64_MAX, -1, index)
@@ -268,15 +304,22 @@ class DistributedVector:
         return value, index
 
     def _local_argreduce(
-        self, mode: str, valid: Optional["DistributedVector"]
+        self,
+        mode: str,
+        valid: Optional["DistributedVector"],
+        rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-processor (value, global index) partials of ``argreduce``:
         mask padding and invalid slots, then one serial scan with the
-        tie-break (absent candidates carry the INT64-max sentinel)."""
+        tie-break (absent candidates carry the INT64-max sentinel).
+
+        ``rows`` restricts the partials to those processors, in that
+        order (all of them when ``None``); the charges are the same.
+        """
         machine = self.machine
+        data = self.pvar.data
         mask = self.embedding.valid_mask()
-        if self.pvar.data.ndim > mask.ndim:
-            mask = mask[..., None]  # broadcast over the run axis
+        gi = self.embedding.global_indices()
         if valid is not None:
             if not self.embedding.compatible(valid.embedding):
                 raise EmbeddingError(
@@ -284,12 +327,19 @@ class DistributedVector:
                     f"{self.embedding.signature()} vs "
                     f"{valid.embedding.signature()}"
                 )
-            mask = mask & valid.pvar.data.astype(bool, copy=False)
+            keep = valid.pvar.data
+        if rows is not None:
+            data, mask, gi = (a.take(rows, axis=0) for a in (data, mask, gi))
+            if valid is not None:
+                keep = keep.take(rows, axis=0)
+        if data.ndim > mask.ndim:
+            mask = mask[..., None]  # broadcast over the run axis
+        if valid is not None:
+            mask = mask & keep.astype(bool, copy=False)
             machine.charge_flops(self.pvar.local_size)
-        gi = self.embedding.global_indices()
-        if self.pvar.data.ndim > gi.ndim:
+        if data.ndim > gi.ndim:
             gi = gi[..., None]
-        partials = arg_reduce_slots(self.pvar.data, mask, gi, 1, mode)
+        partials = arg_reduce_slots(data, mask, gi, 1, mode)
         machine.charge_local(self.pvar.local_size)
         machine.charge_flops(self.pvar.local_size)
         machine.charge_flops(self.pvar.local_size)

@@ -14,7 +14,7 @@ for arbitrary ``R × C``.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -112,6 +112,7 @@ class MatrixEmbedding:
         pids = machine.pids()
         self._grid_r = self.decode(extract_bits(pids, row_dims))
         self._grid_c = self.decode(extract_bits(pids, col_dims))
+        self._pid_of_cell: Optional[np.ndarray] = None
 
     # -- factories -------------------------------------------------------------
 
@@ -254,16 +255,31 @@ class MatrixEmbedding:
     def owner_slot_scalar(self, i: int, j: int) -> Tuple[int, int, int]:
         """``(pid, slot_r, slot_c)`` of one element as Python ints.
 
-        Uses the memoized per-axis owner tables when the plan cache is
-        enabled; otherwise falls back to the direct computation.
+        Uses the memoized per-axis owner tables and :meth:`pid_of_cell`
+        when the plan cache is enabled; otherwise falls back to the direct
+        computation.
         """
         if self.machine.plans.enabled:
             gr_tab, sr_tab = self.row_owner_table()
             gc_tab, sc_tab = self.col_owner_table()
-            pid = self.pid_for_grid(int(gr_tab[i]), int(gc_tab[j]))
-            return int(np.asarray(pid)), int(sr_tab[i]), int(sc_tab[j])
+            pid = self.pid_of_cell()[gr_tab[i], gc_tab[j]]
+            return int(pid), int(sr_tab[i]), int(sc_tab[j])
         pid, sr, sc = self.owner_slot(i, j)
         return int(np.asarray(pid)), int(np.asarray(sr)), int(np.asarray(sc))
+
+    def pid_of_cell(self) -> np.ndarray:
+        """``(Pr, Pc)`` table of the cube node of every grid cell.
+
+        The inverse of the per-pid grid coordinates, built once per
+        instance (read-only).  It is kept on the instance rather than the
+        plan cache so that scalar reads add no plan lookups.
+        """
+        table = self._pid_of_cell
+        if table is None:
+            table = np.empty((self.Pr, self.Pc), dtype=np.int64)
+            table[self._grid_r, self._grid_c] = self.machine.pids()
+            self._pid_of_cell = table = readonly(table)
+        return table
 
     # -- masks --------------------------------------------------------------------
 

@@ -738,14 +738,26 @@ class Hypercube:
         self._check_owned(pvar)
         if not (0 <= pid < self.p):
             raise ConfigError(f"pid {pid} out of range for p={self.p}")
+        return self.read_block(pvar.data[pid])
+
+    def read_block(self, block: np.ndarray) -> Any:
+        """One processor's ``block`` as a host value, charged as one read.
+
+        For callers that computed only the reading processor's block
+        (the host-read arg-reduce); :meth:`read_scalar` picks it out of a
+        whole PVar.
+        """
+        self.charge_host_read()
+        if np.ndim(block) == 0:
+            return block[()] if isinstance(block, np.ndarray) else block
+        return block.copy()
+
+    def charge_host_read(self) -> None:
+        """Charge one front-end bus read: a single one-element start-up."""
         time = self._round_cost.get(1)
         if time is None:
             time = self._round_cost[1] = self.cost_model.comm_round(1)
         self.counters.charge_transfer(1, 1, time)
-        value = pvar.data[pid]
-        if np.ndim(value) == 0:
-            return value[()] if isinstance(value, np.ndarray) else value
-        return value.copy()
 
     # -- validation ---------------------------------------------------------------
 

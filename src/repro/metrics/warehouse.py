@@ -68,12 +68,18 @@ def default_warehouse_dir() -> str:
     return os.path.join(repo, "benchmarks", "warehouse")
 
 
+#: The tracked records file that ``bench run`` appends to by default
+#: (porcelain paths are relative to the repository root).
+TRACKED_RUNS = "benchmarks/warehouse/" + RUNS_FILE
+
+
 def git_rev() -> str:
     """The current git revision, or ``"unknown"`` outside a checkout.
 
     The revision gets a ``-dirty`` suffix when tracked files differ from
     it, so a record made from an uncommitted tree never passes for one
-    made at its parent commit.
+    made at its parent commit.  The tracked records file alone does not
+    count: ``bench run`` appends to it itself.
     """
 
     def git(*args: str) -> subprocess.CompletedProcess:
@@ -93,7 +99,11 @@ def git_rev() -> str:
         status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return f"{rev}-dirty" if status.stdout.strip() else rev
+    changed = [
+        line for line in status.stdout.splitlines()
+        if line.strip() and line[3:] != TRACKED_RUNS
+    ]
+    return f"{rev}-dirty" if changed else rev
 
 
 # ---------------------------------------------------------------------------

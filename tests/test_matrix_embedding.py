@@ -128,6 +128,24 @@ class TestAddressing:
         assert pids.min() >= 0 and pids.max() < m.p
 
 
+    @pytest.mark.parametrize("layout", ["block", "cyclic", "block_cyclic:2"])
+    @pytest.mark.parametrize("coding", ["gray", "binary"])
+    def test_owner_slot_scalar_same_with_cache_on_and_off(self, layout, coding):
+        R, C = 11, 7
+        found = []
+        for cache in (True, False):
+            machine = Hypercube(4, CostModel.unit(), plan_cache=cache)
+            e = MatrixEmbedding(
+                machine, R, C, row_dims=(0, 3), col_dims=(1, 2),
+                row_layout_kind=layout, col_layout_kind=layout, coding=coding,
+            )
+            found.append([e.owner_slot_scalar(i, j)
+                          for i in range(R) for j in range(C)])
+            pid, sr, sc = e.owner_slot(*np.indices((R, C)).reshape(2, -1))
+            assert found[-1] == list(zip(pid.tolist(), sr.tolist(), sc.tolist()))
+        assert found[0] == found[1]
+
+
 class TestLoadBalance:
     @pytest.mark.parametrize("R,C", [(16, 16), (17, 3), (1, 100), (33, 31)])
     @pytest.mark.parametrize("layout", ["block", "cyclic"])

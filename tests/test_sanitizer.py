@@ -151,6 +151,74 @@ def test_sanitizer_runs_checks_and_reports():
     assert session.report_data()["sanitizer"]["total"] > 0
 
 
+def test_block_cyclic_embeddings_pass_the_balance_audit():
+    """A block-cyclic axis deals whole blocks: 13 columns in blocks of 2
+    over 16 grid columns put 2 columns (18 elements) on one processor."""
+    from repro.embeddings import MatrixEmbedding, VectorOrderEmbedding
+
+    s = Session(4, sanitize=True)
+    emb = MatrixEmbedding(
+        s.machine, 9, 13, row_dims=(), col_dims=(0, 1, 2, 3),
+        row_layout_kind="block_cyclic:2", col_layout_kind="block_cyclic:2",
+    )
+    assert emb.valid_mask().reshape(16, -1).sum(axis=1).max() == 18
+    emb.scatter(np.ones((9, 13)))
+    VectorOrderEmbedding(s.machine, 9, "block_cyclic:2").scatter(np.ones(9))
+    assert s.sanitizer.stats.checks["embedding"] == 2
+
+
+def test_overloaded_processor_fails_the_balance_audit():
+    from repro.embeddings import MatrixEmbedding
+
+    class OneProcessorHoldsAll(MatrixEmbedding):
+        def valid_mask(self):
+            mask = np.zeros((self.machine.p, self.R * self.C), dtype=bool)
+            mask[0] = True
+            return mask
+
+    machine = Hypercube(2)
+    sanitizer = machine.attach(MachineSanitizer())
+    emb = OneProcessorHoldsAll(machine, 4, 4, row_dims=(0,), col_dims=(1,))
+    with pytest.raises(SanitizerError, match=r"embedding-balance"):
+        sanitizer.audit_matrix_embedding(emb)
+
+
+def test_wrong_reading_subcube_is_caught(monkeypatch):
+    """Host-read arg-reduces are audited against a full-machine recompute:
+    a member table one subcube off fails the first call."""
+    import repro.core.arrays as arrays
+    from repro.core import DistributedVector
+    from repro.embeddings import ColAlignedEmbedding, MatrixEmbedding
+
+    honest = arrays.reading_subcube
+
+    def next_subcube(machine, dims, pid):
+        members, pos = honest(machine, dims, pid)
+        other = next(d for d in machine.dims if d not in dims)
+        return members ^ (1 << other), pos
+
+    monkeypatch.setattr(arrays, "reading_subcube", next_subcube)
+    s = Session(4, plan_cache=True, sanitize=True)
+    grid = MatrixEmbedding.default(s.machine, 8, 8)
+    emb = ColAlignedEmbedding(grid, 0)  # resident: other bands are padding
+    vec = DistributedVector(emb.scatter(np.arange(1.0, 9.0)), emb)
+    with pytest.raises(SanitizerError, match="read-site-argreduce"):
+        vec.argreduce("max")
+
+
+def test_honest_reading_subcube_passes_the_audit():
+    from repro.core import DistributedVector
+    from repro.embeddings import ColAlignedEmbedding, MatrixEmbedding
+
+    s = Session(4, plan_cache=True, sanitize=True)
+    grid = MatrixEmbedding.default(s.machine, 8, 8)
+    emb = ColAlignedEmbedding(grid, 0)
+    vec = DistributedVector(emb.scatter(np.arange(1.0, 9.0)), emb)
+    assert vec.argreduce("max") == (8.0, 7)
+    assert vec.argreduce("min") == (1.0, 0)
+    assert s.sanitizer.stats.checks["read-site"] == 2
+
+
 def test_cannot_rebind_to_second_machine():
     sanitizer = MachineSanitizer()
     Hypercube(3).attach(sanitizer)

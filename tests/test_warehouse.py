@@ -377,3 +377,15 @@ class TestGitRev:
     def test_outside_a_checkout_is_unknown(self, monkeypatch):
         self.fake_git(monkeypatch, 128, "")
         assert wh.git_rev() == "unknown"
+
+    def test_appended_records_file_alone_stays_clean(self, monkeypatch):
+        self.fake_git(monkeypatch, 0, " M benchmarks/warehouse/runs.jsonl\n")
+        assert wh.git_rev() == "abc1234"
+
+    def test_records_file_does_not_hide_other_changes(self, monkeypatch):
+        porcelain = (
+            " M benchmarks/warehouse/runs.jsonl\n"
+            " M benchmarks/warehouse/baselines.json\n"
+        )
+        self.fake_git(monkeypatch, 0, porcelain)
+        assert wh.git_rev() == "abc1234-dirty"
