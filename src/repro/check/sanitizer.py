@@ -39,6 +39,10 @@ hook                 invariant
 ``on_plan_hit``      stored, under the *current* topology epoch
 ``audit_broadcast``  result equals the root's block per a cache-independent
                      root map (catches stale collective plans)
+``audit_reduce_all_replay``
+                     a replayed all-reduce equals, bit for bit, the
+                     dimension-exchange loop recomputed with the
+                     sanitizer's own neighbours
 ``audit_replicated`` after an all-reduce, subcube members hold identical
                      blocks (sound: all combine ops are commutative)
 ``audit_read_argreduce``
@@ -635,6 +639,34 @@ class MachineSanitizer:
             )
 
     @_checks_span
+    def audit_reduce_all_replay(
+        self,
+        machine: "Hypercube",
+        op: Any,
+        dims: Tuple[int, ...],
+        sent: Any,
+        received: Any,
+    ) -> None:
+        """A replayed all-reduce left exactly what the exchange loop leaves.
+
+        The loop is recomputed here with the sanitizer's own neighbours
+        (``pids ^ (1 << d)``, never the machine's neighbour table): per
+        dimension in ``dims`` order, ``op(own, partner)``.  Compared bit
+        for bit, ±0.0 told apart.
+        """
+        self.stats.count("reduce-all-replay")
+        pids = machine.pids()
+        expected = np.asarray(sent.data)
+        for d in dims:
+            expected = op(expected, expected[pids ^ (1 << d)])
+        if not _bits_equal(received.data, expected):
+            self._fail(
+                "reduce-all-replay",
+                f"replayed {op.name} all-reduce over dims {list(dims)} "
+                f"differs from the dimension-exchange loop",
+            )
+
+    @_checks_span
     def audit_replicated(
         self,
         machine: "Hypercube",
@@ -712,16 +744,21 @@ class MachineSanitizer:
     # -- embeddings --------------------------------------------------------------
 
     @_checks_span
-    def audit_vector_embedding(self, emb: Any) -> None:
+    def audit_vector_embedding(
+        self, emb: Any, mask: Any = None, idx: Any = None
+    ) -> None:
         """The paper's balance bound: no processor holds more than ⌈m/p⌉.
 
         Also conservation: every global index is placed exactly once
-        (at least once for replicated embeddings).
+        (at least once for replicated embeddings).  ``mask``/``idx`` are
+        the valid mask and global indices the elements were placed by;
+        ``scatter`` passes its own, so the audit makes no plan-cache
+        lookup.  By default they are read from ``emb``.
         """
         self.stats.count("embedding")
         machine = emb.machine
-        mask = np.asarray(emb.valid_mask())
-        idx = np.asarray(emb.global_indices())
+        mask = np.asarray(emb.valid_mask() if mask is None else mask)
+        idx = np.asarray(emb.global_indices() if idx is None else idx)
         per_pid = mask.reshape(machine.p, -1).sum(axis=1)
         copies = np.bincount(idx[mask].ravel(), minlength=emb.L)
         holders = 1 << len(emb.order_dims)
@@ -748,12 +785,16 @@ class MachineSanitizer:
             )
 
     @_checks_span
-    def audit_matrix_embedding(self, emb: Any) -> None:
+    def audit_matrix_embedding(self, emb: Any, mask: Any = None) -> None:
         """Grid balance: local blocks within ⌈R/Pr⌉×⌈C/Pc⌉ (whole blocks
-        per axis for block-cyclic layouts), all elements placed."""
+        per axis for block-cyclic layouts), all elements placed.
+
+        ``mask`` is the valid mask the elements were placed by, as in
+        :meth:`audit_vector_embedding`.
+        """
         self.stats.count("embedding")
         machine = emb.machine
-        mask = np.asarray(emb.valid_mask())
+        mask = np.asarray(emb.valid_mask() if mask is None else mask)
         per_pid = mask.reshape(machine.p, -1).sum(axis=1)
         bound = _axis_bound(emb.row_layout, emb.R, emb.Pr) * _axis_bound(
             emb.col_layout, emb.C, emb.Pc

@@ -191,13 +191,33 @@ def reduce_all(
         machine, "reduce_all", "collective",
         dims=list(dims), volume=pvar.local_size, op=op.name,
     ):
-        data = pvar
-        for d in dims:
-            recv = machine.exchange(data, d)
-            combined = op(data.data, recv.data)
-            machine.charge_flops(data.local_size)
-            data = PVar(machine, combined)
         sanitizer = machine.sanitizer
+        if machine.plans.enabled and machine.faults is None:
+            # Plan replay: the loop below with each Hypercube.exchange cut
+            # down to its charge and its neighbour take.  Every member gets
+            # the loop's own op(own, partner), so each op and dtype comes
+            # out bit for bit, NaN payloads and ±0 included.  A fault
+            # injector keeps the loop: exchange polls it and delivers its
+            # in-flight corruption.
+            machine._check_owned(pvar)
+            ls = pvar.local_size
+            # With ABFT wire protection each block carries a checksum word.
+            volume = ls + 1 if machine.abft is not None else ls
+            cur = pvar.data
+            for d in dims:
+                machine.charge_comm_round(volume, dim=d)
+                cur = op(cur, cur.take(machine._neighbor[d], axis=0))
+                machine.charge_flops(ls)
+            data = PVar(machine, cur)
+            if sanitizer is not None:
+                sanitizer.audit_reduce_all_replay(machine, op, dims, pvar, data)
+        else:
+            data = pvar
+            for d in dims:
+                recv = machine.exchange(data, d)
+                combined = op(data.data, recv.data)
+                machine.charge_flops(data.local_size)
+                data = PVar(machine, combined)
         if sanitizer is not None:
             sanitizer.audit_replicated(machine, data, dims, "reduce_all")
         return data

@@ -40,6 +40,7 @@ algorithm to a constant factor.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -286,16 +287,14 @@ def distribute(
             else:
                 vec = remap_vector(vec, vec_emb, target_emb)
 
+        # One contiguous repeat along a unit axis (a batched machine's
+        # trailing run axis rides along); copying a zero-stride broadcast
+        # instead loops over the short slot axis.
         lr, lc = emb.local_shape
-        extra = vec.data.shape[2:]  # trailing run axis on a batched machine
         if axis == 0:
-            out = np.broadcast_to(
-                np.expand_dims(vec.data, 1), (machine.p, lr, lc) + extra
-            ).copy()
+            out = np.repeat(vec.data[:, None], lr, axis=1)
         else:
-            out = np.broadcast_to(
-                np.expand_dims(vec.data, 2), (machine.p, lr, lc) + extra
-            ).copy()
+            out = np.repeat(vec.data[:, :, None], lc, axis=2)
         machine.charge_local(lr * lc)
         return PVar(machine, out)
 
@@ -318,6 +317,37 @@ def _masked_for_reduce(
     return np.where(mask, pvar.data, ident)
 
 
+@functools.lru_cache(maxsize=None)
+def _reduce_dtype(ufunc: np.ufunc, dtype: np.dtype) -> np.dtype:
+    """The dtype ``ufunc.reduce`` returns for ``dtype`` input.
+
+    ``add``/``multiply`` reductions upcast integer and bool blocks narrower
+    than the platform integer (a bool ``sum`` counts), and the logical ops
+    return bool for any input.
+    """
+    return ufunc.reduce(np.zeros((0, 1), dtype), axis=1).dtype
+
+
+def _fold_slots(data: np.ndarray, axis: int, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc.reduce(data, axis)`` for an integer or bool block.
+
+    Folds the slot ``axis`` one slice at a time in the reduction's dtype: a
+    NumPy reduction along a short axis costs over ten times the fold.
+    Integer and bool combines are exact in any order (adds and multiplies
+    wrap modulo 2**w), so the fold equals the reduction bit for bit.  Float
+    blocks must not come here: NumPy sums 8 or more contiguous slots
+    pairwise, and a fold would move the last bits.
+    """
+    dtype = _reduce_dtype(ufunc, data.dtype)
+    lead = (slice(None),) * axis
+    if data.shape[axis] == 1:
+        return data[lead + (0,)].astype(dtype)
+    out = ufunc(data[lead + (0,)], data[lead + (1,)], dtype=dtype)
+    for s in range(2, data.shape[axis]):
+        ufunc(out, data[lead + (s,)], out=out)
+    return out
+
+
 def local_reduce(
     pvar: PVar,
     emb: MatrixEmbedding,
@@ -337,23 +367,26 @@ def local_reduce(
     op = get_op(op)
     machine = emb.machine
     data = _masked_for_reduce(pvar, emb, op)
+    slot_axis = axis + 1
 
+    if data.dtype.kind in "biu" and data.shape[slot_axis]:
+        red = _fold_slots(data, slot_axis, op.ufunc)
+    elif slot_axis == 2 and machine.n_runs is not None:
+        # The scalar path reduces its contiguous last axis, where NumPy
+        # applies pairwise summation; reduce a contiguous copy with the
+        # run axis moved inward so every lane reproduces that
+        # accumulation order bit-for-bit.
+        moved = np.ascontiguousarray(np.moveaxis(data, 2, -1))
+        red = op.ufunc.reduce(moved, axis=-1)
+    else:
+        red = op.ufunc.reduce(data, axis=slot_axis)
+    reduced = PVar(machine, red)
+    # one combine per slot past the first of every reduced slice
+    kept = pvar.data.shape[3 - slot_axis]
+    machine.charge_flops(max(pvar.local_size - kept, 0))
     if axis == 1:
-        # combine across columns -> length-R vector aligned with rows
-        if machine.n_runs is not None:
-            # The scalar path reduces its contiguous last axis, where NumPy
-            # applies pairwise summation; reduce a contiguous copy with the
-            # run axis moved inward so every lane reproduces that
-            # accumulation order bit-for-bit.
-            moved = np.ascontiguousarray(np.moveaxis(data, 2, -1))
-            red = op.ufunc.reduce(moved, axis=-1)
-        else:
-            red = op.ufunc.reduce(data, axis=2)
-        reduced = PVar(machine, red)
-        machine.charge_flops(max(pvar.local_size - pvar.data.shape[1], 0))
+        # combined across columns: a length-R vector aligned with rows
         return reduced, emb.col_dims, _aligned_embedding(emb, 1, None)
-    reduced = PVar(machine, op.ufunc.reduce(data, axis=1))
-    machine.charge_flops(max(pvar.local_size - pvar.data.shape[2], 0))
     return reduced, emb.row_dims, _aligned_embedding(emb, 0, None)
 
 

@@ -351,13 +351,13 @@ class MatrixEmbedding:
         data = matrix[r_idx[:, :, None], c_idx[:, None, :]]
         # Padding slots currently replicate edge elements; zero them so
         # stray values can never leak through arithmetic.
-        mask = self.valid_mask()
-        if data.ndim > mask.ndim:
-            mask = mask[..., None]  # broadcast over the run axis
+        valid = self.valid_mask()
+        # broadcast over the run axis of a batched machine
+        mask = valid[..., None] if data.ndim > valid.ndim else valid
         data = np.where(mask, data, np.zeros((), dtype=matrix.dtype))
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
-            sanitizer.audit_matrix_embedding(self)
+            sanitizer.audit_matrix_embedding(self, valid)
         return PVar(self.machine, data)
 
     def gather(self, pvar: PVar) -> np.ndarray:

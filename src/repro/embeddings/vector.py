@@ -156,13 +156,13 @@ class VectorEmbedding(abc.ABC):
             )
         idx = self.global_indices()
         data = vector[idx]
-        mask = self.valid_mask()
-        if data.ndim > mask.ndim:
-            mask = mask[..., None]  # broadcast over the run axis
+        valid = self.valid_mask()
+        # broadcast over the run axis of a batched machine
+        mask = valid[..., None] if data.ndim > valid.ndim else valid
         data = np.where(mask, data, np.zeros((), dtype=vector.dtype))
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
-            sanitizer.audit_vector_embedding(self)
+            sanitizer.audit_vector_embedding(self, valid, idx)
         return PVar(self.machine, data)
 
     def gather(self, pvar: PVar) -> np.ndarray:

@@ -219,6 +219,45 @@ def test_honest_reading_subcube_passes_the_audit():
     assert s.sanitizer.stats.checks["read-site"] == 2
 
 
+def test_wrong_reduce_all_neighbour_is_caught():
+    """Replayed all-reduces are audited against the sanitizer's own
+    exchange loop: a neighbour table one dimension off fails the first
+    call."""
+    from repro import comm
+
+    s = Session(4, plan_cache=True, sanitize=True)
+    machine = s.machine
+    honest = list(machine._neighbor)
+    machine._neighbor = [honest[(d + 1) % machine.n] for d in machine.dims]
+    data = machine.pvar(np.arange(16.0))
+    with pytest.raises(SanitizerError, match="reduce-all-replay"):
+        comm.reduce_all(machine, data, "sum", dims=(0,))
+    assert s.sanitizer.stats.checks["reduce-all-replay"] == 1
+
+
+def test_honest_reduce_all_replay_passes_the_audit():
+    from repro import comm
+
+    s = Session(4, plan_cache=True, sanitize=True)
+    data = s.machine.pvar(np.array([0.0, -0.0] * 8))
+    for op in ("sum", "max", "min"):
+        comm.reduce_all(s.machine, data, op, dims=(3, 0))
+    assert s.sanitizer.stats.checks["reduce-all-replay"] == 3
+
+
+def test_sanitizer_leaves_the_plan_cache_alone():
+    """Embedding audits use the masks the scatter placed by, so a
+    sanitized session counts the same plan hits, misses and entries."""
+    stats = []
+    for sanitize in (False, True):
+        s = Session(4, plan_cache=True, sanitize=sanitize)
+        A = s.matrix(np.arange(30.0).reshape(5, 6))
+        s.row_vector(np.arange(6.0), like=A)
+        s.vector(np.arange(9.0))
+        stats.append((s.machine.counters.plan_stats(), len(s.machine.plans)))
+    assert stats[0] == stats[1]
+
+
 def test_cannot_rebind_to_second_machine():
     sanitizer = MachineSanitizer()
     Hypercube(3).attach(sanitizer)
