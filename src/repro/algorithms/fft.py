@@ -26,6 +26,7 @@ from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
 from ..machine.pvar import PVar
 from ..machine.router import Router
+from ..embeddings.gray import deposit_bits
 from ..embeddings.vector import VectorOrderEmbedding
 from ..errors import ConfigError, ShapeError
 
@@ -40,11 +41,7 @@ class FFTResult:
 
 def _bit_reverse_indices(t: int) -> np.ndarray:
     """The bit-reversal permutation of ``range(2**t)``."""
-    idx = np.arange(1 << t)
-    rev = np.zeros_like(idx)
-    for b in range(t):
-        rev |= ((idx >> b) & 1) << (t - 1 - b)
-    return rev
+    return deposit_bits(np.arange(1 << t), tuple(range(t - 1, -1, -1)))
 
 
 def _check_embedding(machine: Hypercube, N: int) -> "tuple[int, int, int]":

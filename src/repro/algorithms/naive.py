@@ -44,13 +44,6 @@ INT64_MAX = np.iinfo(np.int64).max
 # serialised band communication helpers
 # ---------------------------------------------------------------------------
 
-def _dims_mask(dims: Sequence[int]) -> int:
-    mask = 0
-    for d in dims:
-        mask |= 1 << d
-    return mask
-
-
 def _charge_serial(machine: Hypercube, volume: float, dims: Sequence[int]) -> int:
     """Charge ``2**k - 1`` sequential router rounds of ``volume`` each."""
     sends = (1 << len(dims)) - 1
@@ -65,8 +58,7 @@ def _group_reduce(
     """Functionally combine ``data`` over every dims-subcube (no charging)."""
     if not dims:
         return data
-    mask = _dims_mask(dims)
-    keys = machine.pids() & ~mask
+    keys = machine.pids() & ~deposit_bits(-1, dims)
     order = np.argsort(keys, kind="stable")
     gsize = 1 << len(dims)
     grouped = data[order].reshape(machine.p // gsize, gsize, *data.shape[1:])
@@ -86,8 +78,9 @@ def _replicate_from_band(
     whole subcube."""
     if not dims:
         return data
-    mask = _dims_mask(dims)
-    src = (machine.pids() & ~mask) | deposit_bits(band_code, tuple(dims))
+    src = (machine.pids() & ~deposit_bits(-1, dims)) | deposit_bits(
+        band_code, dims
+    )
     return data.take(src, axis=0)
 
 

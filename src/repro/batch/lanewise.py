@@ -36,6 +36,7 @@ from ..algorithms.lanes import lane_of
 from ..comm.collectives import subcube_base
 from ..core.arrays import DistributedMatrix, DistributedVector
 from ..core.primitives import _aligned_embedding
+from ..embeddings.gray import deposit_bits
 from ..embeddings.matrix import MatrixEmbedding
 from ..errors import ConfigError, ShapeError
 from ..machine.counters import CostSnapshot
@@ -126,9 +127,7 @@ def lane_extract(
         # own roots.
         codes = np.asarray(emb.code(owners), dtype=np.int64)
         base = subcube_base(machine, across)
-        spread = np.zeros(n_runs, dtype=np.int64)
-        for j, d in enumerate(across):
-            spread |= ((codes >> j) & 1) << d
+        spread = deposit_bits(codes, across)
         root_map = base[:, None] | spread[None, :]  # (p, n_runs)
         sel = np.broadcast_to(root_map[:, None, :], local.shape)
         out = np.take_along_axis(local, sel, axis=0)

@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..embeddings.gray import deposit_bits, extract_bits
 from ..errors import ConfigError, ShapeError
 from ..machine.hypercube import Hypercube
 from ..machine.plans import readonly
@@ -52,28 +53,19 @@ def subcube_rank(machine: Hypercube, dims: Sequence[int]) -> np.ndarray:
     Memoized per ``dims`` on the machine's plan cache (read-only array).
     """
     dims = _dims_tuple(machine, dims)
-
-    def build() -> np.ndarray:
-        pids = machine.pids()
-        rank = np.zeros(machine.p, dtype=np.int64)
-        for k, d in enumerate(dims):
-            rank |= ((pids >> d) & 1) << k
-        return readonly(rank)
-
-    return machine.plans.memo(("subcube-rank", dims), build)
+    return machine.plans.memo(
+        ("subcube-rank", dims),
+        lambda: readonly(extract_bits(machine.pids(), dims)),
+    )
 
 
 def subcube_base(machine: Hypercube, dims: Sequence[int]) -> np.ndarray:
     """The pid of the rank-0 member of each processor's subcube."""
     dims = _dims_tuple(machine, dims)
-
-    def build() -> np.ndarray:
-        mask = 0
-        for d in dims:
-            mask |= 1 << d
-        return readonly(machine.pids() & ~mask)
-
-    return machine.plans.memo(("subcube-base", dims), build)
+    return machine.plans.memo(
+        ("subcube-base", dims),
+        lambda: readonly(machine.pids() & ~deposit_bits(-1, dims)),
+    )
 
 
 def reading_subcube(
@@ -90,13 +82,8 @@ def reading_subcube(
 
     def build() -> Tuple[np.ndarray, int]:
         ranks = np.arange(1 << len(dims), dtype=np.int64)
-        members = np.full_like(ranks, pid)
-        pos = 0
-        for j, d in enumerate(dims):
-            members &= ~(1 << d)
-            members |= ((ranks >> j) & 1) << d
-            pos |= ((pid >> d) & 1) << j
-        return readonly(members), pos
+        members = (pid & ~deposit_bits(-1, dims)) | deposit_bits(ranks, dims)
+        return readonly(members), extract_bits(pid, dims)
 
     return machine.plans.memo(("reading-subcube", dims, pid), build)
 
@@ -110,15 +97,12 @@ def _root_pid_map(
     root_rank)`` pair: every processor's result is the root's block, so
     knowing each processor's root suffices to replay the collective.
     """
-
-    def build() -> np.ndarray:
-        root_pid = subcube_base(machine, dims).copy()
-        for j, d in enumerate(dims):
-            if (root_rank >> j) & 1:
-                root_pid |= 1 << d
-        return readonly(root_pid)
-
-    return machine.plans.memo(("root-pid", dims, root_rank), build)
+    return machine.plans.memo(
+        ("root-pid", dims, root_rank),
+        lambda: readonly(
+            subcube_base(machine, dims) | deposit_bits(root_rank, dims)
+        ),
+    )
 
 
 def broadcast(

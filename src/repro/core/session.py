@@ -186,7 +186,9 @@ class Session:
         The successor charges into the same counters, so the simulated
         clock keeps running.  Every filled slot carries over in
         ``Hypercube.SLOTS`` order, rebound to the successor; the tracer
-        first records the swap as the instant ``event``.
+        first records the swap as the instant ``event``.  The abandoned
+        machine keeps empty slots, so the expansion ledger's kills and
+        revives on it reach no tracer, sanitizer or injector.
         """
         old = self.machine
         new = Hypercube(
@@ -209,6 +211,7 @@ class Session:
             if attachment is not None:
                 attachment.rebind(new)
                 setattr(new, slot, attachment)
+                setattr(old, slot, None)
         self.machine = new
         return new
 

@@ -24,6 +24,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..embeddings.gray import deposit_bits
+
 
 class ExpansionLedger:
     """Root-cube health history + composed embedding of the current machine.
@@ -34,6 +36,10 @@ class ExpansionLedger:
     embedding; ``record_promote`` resets it to the promoted cube.
     ``enabled`` is cleared by the resilient runner when promotion is
     exhausted or failed, turning all further checks into no-ops.
+
+    The root keeps its health masks with its own ``kill_*``/``revive_*``
+    methods: ``Session`` empties an abandoned machine's slots, so they
+    reach no tracer, sanitizer or injector of the running session.
     """
 
     def __init__(self, root: Any) -> None:
@@ -54,60 +60,10 @@ class ExpansionLedger:
     # -- coordinate lifting ----------------------------------------------------
 
     def to_root_pid(self, pid: int) -> int:
-        out = self.embed_base
-        for i, d in enumerate(self.embed_dims):
-            out |= ((pid >> i) & 1) << d
-        return out
+        return self.embed_base | deposit_bits(pid, self.embed_dims)
 
     def to_root_dim(self, dim: int) -> int:
         return self.embed_dims[dim]
-
-    # -- root-mask maintenance -------------------------------------------------
-    # Mutating the abandoned root machine directly (no kill_node/revive_node
-    # calls) keeps the shared tracer free of ghost instants from a machine
-    # that is no longer running anything.
-
-    def _kill_root_node(self, pid: int) -> None:
-        m = self.root
-        if m.node_ok is None:
-            m.node_ok = np.ones(m.p, dtype=bool)
-        if m.node_ok[pid]:
-            m.node_ok[pid] = False
-            m._n_dead_nodes += 1
-
-    def _revive_root_node(self, pid: int) -> bool:
-        m = self.root
-        if m.node_ok is None or m.node_ok[pid]:
-            return False
-        m.node_ok[pid] = True
-        m._n_dead_nodes -= 1
-        return True
-
-    def _kill_root_link(self, dim: int, lo: int) -> None:
-        m = self.root
-        if m.link_ok is None:
-            m.link_ok = np.ones((m.n, m.p), dtype=bool)
-        if m.link_ok[dim, lo]:
-            m.link_ok[dim, lo] = False
-            m.link_ok[dim, lo ^ (1 << dim)] = False
-            links = m._dead_links_by_dim.setdefault(dim, [])
-            links.append(lo)
-            links.sort()
-
-    def _revive_root_link(self, dim: int, lo: int) -> bool:
-        m = self.root
-        lo = min(lo, lo ^ (1 << dim))
-        if m.link_ok is None or m.link_ok[dim, lo]:
-            return False
-        m.link_ok[dim, lo] = True
-        m.link_ok[dim, lo ^ (1 << dim)] = True
-        links = m._dead_links_by_dim.get(dim)
-        if links is not None:
-            if lo in links:
-                links.remove(lo)
-            if not links:
-                del m._dead_links_by_dim[dim]
-        return True
 
     # -- bookkeeping entry points ----------------------------------------------
 
@@ -123,14 +79,12 @@ class ExpansionLedger:
             return
         if machine.node_ok is not None:
             for pid in np.flatnonzero(~machine.node_ok):
-                self._kill_root_node(self.to_root_pid(int(pid)))
+                self.root.kill_node(self.to_root_pid(int(pid)))
         if machine.link_ok is not None:
             for dim in range(machine.n):
                 for lo in np.flatnonzero(~machine.link_ok[dim]):
-                    root_dim = self.to_root_dim(dim)
-                    root_lo = self.to_root_pid(int(lo))
-                    self._kill_root_link(
-                        root_dim, min(root_lo, root_lo ^ (1 << root_dim))
+                    self.root.kill_link(
+                        self.to_root_dim(dim), self.to_root_pid(int(lo))
                     )
 
     def add_heal_events(self, events: Sequence[Any]) -> None:
@@ -166,10 +120,10 @@ class ExpansionLedger:
                 still_pending.append((kind, time, dim, pid))
                 continue
             if kind == "node":
-                if self._revive_root_node(pid):
+                if self.root.revive_node(pid):
                     applied.append(("node", None, pid))
             else:
-                if self._revive_root_link(dim, pid):
+                if self.root.revive_link(dim, pid):
                     applied.append(("link", dim, pid))
         self.heals = still_pending
         if applied:
@@ -195,14 +149,8 @@ class ExpansionLedger:
 
     def record_degrade(self, free_dims: Sequence[int], base: int) -> None:
         """Compose a shrink (``free_dims``/``base`` in *current* coords)."""
-        new_dims = tuple(self.embed_dims[d] for d in free_dims)
-        kept = set(free_dims)
-        extra = 0
-        for d in range(len(self.embed_dims)):
-            if d not in kept:
-                extra |= ((base >> d) & 1) << self.embed_dims[d]
-        self.embed_base |= extra
-        self.embed_dims = new_dims
+        self.embed_base = self.to_root_pid(base)
+        self.embed_dims = tuple(self.embed_dims[d] for d in free_dims)
 
     def record_promote(self, free_dims: Sequence[int], base: int) -> None:
         """Reset the embedding to a promoted cube (*root* coords)."""
