@@ -1,9 +1,14 @@
 """Unit tests for the subcube collectives (S9): semantics and cost structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import comm
+from repro.comm.collectives import _root_pid_map, reading_subcube
+from repro.faults.expansion import ExpansionLedger
+from repro.faults.recovery import subcube_members
 from repro.machine import CostModel, Hypercube
 
 
@@ -36,6 +41,96 @@ class TestSubcubeAddressing:
         for pid in range(m.p):
             assert ranks[base[pid]] == 0
             assert base[pid] in brute_subcube_members(m.p, pid, dims)
+
+
+def every_dims(n):
+    """Every subset of ``range(n)``, ascending and reversed."""
+    for k in range(n + 1):
+        for dims in itertools.combinations(range(n), k):
+            yield dims
+            if k > 1:
+                yield dims[::-1]
+
+
+def brute_by_rank(pids, dims):
+    """``pids`` sorted by their rank in the ``dims`` subcube."""
+    return sorted(pids, key=lambda q: brute_rank(q, dims))
+
+
+def brute_groups(p, dims):
+    """pid -> its subcube's members ordered by rank, by brute force."""
+    return {
+        pid: brute_by_rank(brute_subcube_members(p, pid, dims), dims)
+        for pid in range(p)
+    }
+
+
+def brute_bases(n, free_dims):
+    """Every base address over the dimensions ``free_dims`` leaves fixed."""
+    fixed = [d for d in range(n) if d not in free_dims]
+    for combo in itertools.product((0, 1), repeat=len(fixed)):
+        yield sum(bit << d for bit, d in zip(combo, fixed))
+
+
+class TestAddressMapsBruteForce:
+    """Every subcube address map against brute force, every dims subset."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_collective_maps(self, n):
+        m = Hypercube(n, CostModel.unit())
+        for dims in every_dims(n):
+            groups = brute_groups(m.p, dims)
+            ranks = comm.subcube_rank(m, dims)
+            base = comm.subcube_base(m, dims)
+            for pid in range(m.p):
+                assert ranks[pid] == brute_rank(pid, dims)
+                assert base[pid] == groups[pid][0]
+                members, pos = reading_subcube(m, dims, pid)
+                assert members.dtype == np.int64
+                assert members.tolist() == groups[pid]
+                assert pos == brute_rank(pid, dims)
+            for root_rank in range(1 << len(dims)):
+                root_pid = _root_pid_map(m, dims, root_rank)
+                assert root_pid.tolist() == [
+                    groups[pid][root_rank] for pid in range(m.p)
+                ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_recovery_maps(self, n):
+        p = 1 << n
+        rng = np.random.default_rng(n)
+        for free_dims in every_dims(n):
+            mask = sum(1 << d for d in free_dims)
+            for base in brute_bases(n, free_dims):
+                members = brute_by_rank(
+                    [q for q in range(p) if q & ~mask == base], free_dims
+                )
+                got = subcube_members(free_dims, base)
+                assert got.dtype == np.int64
+                assert got.tolist() == members
+                if list(free_dims) != sorted(free_dims):
+                    continue  # degrades keep free dims ascending
+                led = ExpansionLedger(Hypercube(n))
+                led.record_degrade(free_dims, base)
+                assert led.embed_dims == free_dims
+                assert led.embed_base == base
+                assert [led.to_root_pid(j) for j in range(len(members))] == (
+                    members
+                )
+                # A second shrink composes into the same root map.
+                k = len(free_dims)
+                inner = tuple(d for d in range(k) if rng.random() < 0.5)
+                inner_base = int(rng.choice(list(brute_bases(k, inner))))
+                inner_mask = sum(1 << d for d in inner)
+                inner_members = brute_by_rank(
+                    [q for q in range(1 << k) if q & ~inner_mask == inner_base],
+                    inner,
+                )
+                led.record_degrade(inner, inner_base)
+                assert led.embed_dims == tuple(free_dims[d] for d in inner)
+                assert [
+                    led.to_root_pid(j) for j in range(len(inner_members))
+                ] == [members[q] for q in inner_members]
 
 
 class TestBroadcast:
