@@ -340,38 +340,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_workload(args: argparse.Namespace):
-    """Build the seeded resilient-workload factory for faults/abft.
-
-    Integer data keeps sum-reductions exact, so the recovered result can
-    be compared bit-for-bit against the fault-free baseline even after a
-    remap onto a smaller subcube (or an ABFT checkpoint replay).
-    """
-    from . import workloads as W
-    from .faults import gaussian_workload, matvec_workload, simplex_workload
-
-    rng = np.random.default_rng(args.seed)
-    size = args.size
-    # abft has no --checkpoint-every flag; keep its historical cadence.
-    every = int(getattr(args, "checkpoint_every", 4))
-    if args.workload == "gaussian":
-        A = rng.integers(-4, 5, size=(size, size)).astype(np.float64)
-        A += size * np.eye(size)
-        b = rng.integers(-4, 5, size=size).astype(np.float64)
-        return lambda: gaussian_workload(A, b, checkpoint_every=every)
-    if args.workload == "simplex":
-        lp = W.feasible_lp(size, size, seed=args.seed)
-        return lambda: simplex_workload(lp.A, lp.b, lp.c)
-    # matvec
-    A = rng.integers(-3, 4, size=(size, size)).astype(np.float64)
-    x = rng.integers(-3, 4, size=size).astype(np.float64)
-    return lambda: matvec_workload(A, x)
-
-
 def _cmd_faults(args: argparse.Namespace) -> int:
     from .faults import CheckpointStore, FaultPlan, run_resilient
+    from .faults.recovery import build_workload
 
-    make = _fault_workload(args)
+    make = build_workload(
+        args.workload, args.size, args.seed,
+        checkpoint_every=args.checkpoint_every,
+    )
 
     # Fault-free dry run: the baseline result and the fault horizon.
     dry = Session(args.n, args.cost_model)
@@ -464,8 +440,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_abft(args: argparse.Namespace) -> int:
     from .abft import ABFTManager
     from .faults import CheckpointStore, FaultPlan, run_resilient
+    from .faults.recovery import build_workload
 
-    make = _fault_workload(args)
+    make = build_workload(args.workload, args.size, args.seed)
 
     # Fault-free dry run with ABFT *off*: the bit-exact baseline and the
     # corruption horizon.  Recovery must reproduce this result exactly.

@@ -35,15 +35,8 @@ from ..errors import ConfigError, ReproError
 from .checkpoint import CheckpointStore
 from .injector import FaultInjector, RetryPolicy
 from .plan import FaultPlan, NodeHeal, NodeKill
-from .recovery import (
-    gaussian_workload,
-    matvec_workload,
-    run_resilient,
-    simplex_workload,
-)
+from .recovery import WORKLOADS, build_workload, run_resilient
 from .strategies import STRATEGIES, CheckpointPolicy
-
-WORKLOADS = ("gaussian", "simplex", "matvec", "bfs")
 
 #: flag name -> probability the schedule generator turns it on.
 FLAG_PROBS = {
@@ -56,48 +49,8 @@ FLAG_PROBS = {
 
 
 # ---------------------------------------------------------------------------
-# workloads + baselines
+# baselines
 # ---------------------------------------------------------------------------
-
-def build_workload(
-    workload: str, size: int, prob_seed: int, checkpoint_every: int = 4
-) -> Callable[[], Callable]:
-    """Seeded problem builder mirroring the ``repro faults`` recipes.
-
-    Integer data keeps sum-reductions exact, so faulted results compare
-    bit-for-bit against the fault-free baseline even after a subcube
-    remap.  Duplicated here (rather than imported from ``__main__``) so
-    the CLI's fault path never depends on this module.
-    ``checkpoint_every`` only affects the gaussian workload (the others
-    restart rather than resume) and never changes the numerical result.
-    """
-    rng = np.random.default_rng(prob_seed)
-    if workload == "gaussian":
-        A = rng.integers(-4, 5, size=(size, size)).astype(np.float64)
-        A += size * np.eye(size)
-        b = rng.integers(-4, 5, size=size).astype(np.float64)
-        return lambda: gaussian_workload(A, b, checkpoint_every=checkpoint_every)
-    if workload == "simplex":
-        from .. import workloads as W
-
-        lp = W.feasible_lp(size, size, seed=prob_seed)
-        return lambda: simplex_workload(lp.A, lp.b, lp.c)
-    if workload == "matvec":
-        A = rng.integers(-3, 4, size=(size, size)).astype(np.float64)
-        x = rng.integers(-3, 4, size=size).astype(np.float64)
-        return lambda: matvec_workload(A, x)
-    if workload == "bfs":
-        # size doubles as the vertex count; integer levels make the
-        # recovered traversal bit-identical to the fault-free baseline.
-        from .. import workloads as W
-        from ..algorithms.graph import bfs_workload
-
-        g = W.random_graph(size, 3.0, seed=prob_seed)
-        return lambda: bfs_workload(g, 0)
-    raise ConfigError(
-        f"unknown chaos workload {workload!r}; choose from {WORKLOADS}"
-    )
-
 
 class BaselineCache:
     """Fault-free results, memoized per (workload, size, prob_seed, n)."""

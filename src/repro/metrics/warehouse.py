@@ -571,7 +571,7 @@ def _run_resilience_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         FaultPlan,
         run_resilient,
     )
-    from ..faults.chaos import build_workload
+    from ..faults.recovery import build_workload
 
     params = dict(spec.params)
     n_dims = int(params["n_dims"])
