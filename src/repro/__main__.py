@@ -27,8 +27,7 @@ Subcommands:
   validation or a missed speedup target of the ``batch`` curve);
   ``bench report`` gates the latest records against pinned baselines
   (nonzero exit on any simulated-tick regression); ``bench pin`` freezes
-  new baselines; ``bench import`` migrates the frozen
-  ``BENCH_wallclock.json`` history;
+  new baselines;
 * ``chaos`` — randomized seeded fault campaigns: every schedule draws a
   workload, a feature-flag combination and a fault plan mixing
   fail-stop, silent-data-corruption and gray-failure events, and must
@@ -718,33 +717,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             _emit(args, report, "\n".join(lines))
             return 0 if report["passed"] else 1
 
-        if args.action == "pin":
-            records = wh.load_records(runs_path)
-            doc = wh.pin_baselines(records, baselines_path)
-            data = {
-                "baselines": baselines_path,
-                "entries": len(doc["entries"]),
-                "git_rev": doc["git_rev"],
-            }
-            _emit(
-                args, data,
-                f"pinned {len(doc['entries'])} baselines -> {baselines_path}",
-            )
-            return 0
-
-        # action == "import": migrate the legacy BENCH_wallclock.json.
-        legacy_path = args.legacy
-        if legacy_path is None:
-            repo_root = os.path.dirname(os.path.dirname(out_dir))
-            legacy_path = os.path.join(repo_root, "BENCH_wallclock.json")
-        records = wh.import_legacy(legacy_path)
-        wh.append_records(records, runs_path)
-        data = {"source": legacy_path, "records": len(records),
-                "out": runs_path}
+        # action == "pin"
+        records = wh.load_records(runs_path)
+        doc = wh.pin_baselines(records, baselines_path)
+        data = {
+            "baselines": baselines_path,
+            "entries": len(doc["entries"]),
+            "git_rev": doc["git_rev"],
+        }
         _emit(
             args, data,
-            f"imported {len(records)} legacy records from {legacy_path} "
-            f"-> {runs_path}",
+            f"pinned {len(doc['entries'])} baselines -> {baselines_path}",
         )
         return 0
     except (ConfigError, FileNotFoundError) as exc:
@@ -1061,9 +1044,9 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument(
         "action", nargs="?", default="run",
-        choices=["run", "report", "pin", "import"],
+        choices=["run", "report", "pin"],
         help="run a table (default), compare vs pinned baselines, "
-             "pin the latest records, or import BENCH_wallclock.json")
+             "or pin the latest records")
     p_bench.add_argument(
         "--table", default="smoke",
         help="built-in run table (smoke, full, resilience, batch) or a "
@@ -1086,10 +1069,6 @@ def main(argv=None) -> int:
         "--wall-tolerance", type=float, default=None, metavar="FRAC",
         help="also gate wall seconds at +FRAC relative slack (default: "
              "report-only; simulated ticks always gate)")
-    p_bench.add_argument(
-        "--legacy", default=None, metavar="FILE",
-        help="legacy BENCH_wallclock.json for import "
-             "(default: repo root)")
     p_bench.add_argument("--json", action="store_true",
                          help="emit a machine-readable JSON summary")
     p_bench.set_defaults(fn=_cmd_bench)

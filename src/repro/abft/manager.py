@@ -21,8 +21,9 @@ implements the algorithm-based fault-tolerance protocol:
   the workload is not currently reading.
 
 Every cost lands on the simulated clock via the machine's ordinary charge
-entry points; detections/corrections/escalations are mirrored into
-``machine.counters`` (observability-only fields) and the tracer.
+entry points.  Detections and corrections are counted once, on
+``machine.counters`` (observability-only fields), and every detection,
+correction and escalation is a tracer instant.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ from .panels import checksum_panels, correct_single, locate
 
 @dataclass
 class ABFTStats:
-    """Running totals for the checksum layer (host-side observability)."""
+    """Running totals for the checksum layer (host-side observability).
+
+    Detections and corrections are counted once, on ``machine.counters``
+    (``abft_detected``, ``abft_corrected``); :meth:`ABFTManager.report_data`
+    reads them there.
+    """
 
     protected: int = 0
     verifies: int = 0
-    detected: int = 0
-    corrected: int = 0
     uncorrectable: int = 0
     scrubs: int = 0
     wire_retransmits: int = 0
@@ -127,18 +131,6 @@ class ABFTManager:
                 recomputed=c.abft_recomputed,
             )
         }
-
-    def publish_metrics(self, registry: Any) -> None:
-        """Publish checksum-layer totals into a metrics registry."""
-        stats = self.stats
-        registry.publish("abft.protected", stats.protected)
-        registry.publish("abft.verifies", stats.verifies)
-        registry.publish("abft.scrub_rounds", stats.scrubs)
-        registry.publish("abft.wire_retransmits", stats.wire_retransmits)
-        registry.publish("abft.uncorrectable", stats.uncorrectable)
-        registry.publish("abft.evictions", stats.evictions)
-        registry.publish("abft.registry_blocks", len(self._registry),
-                         kind="gauge")
 
     # -- protection ----------------------------------------------------------
 
@@ -249,7 +241,6 @@ class ABFTManager:
             return
         counters = machine.counters
         counters.abft_detected += 1
-        self.stats.detected += 1
         tracer = machine.tracer
         if tracer is not None:
             tracer.instant("abft:detect", "abft", status=status)
@@ -265,7 +256,6 @@ class ABFTManager:
                     "ABFT single-element correction failed re-verification"
                 )
             counters.abft_corrected += 1
-            self.stats.corrected += 1
             if tracer is not None:
                 tracer.instant(
                     "abft:correct", "abft", pid=pid, byte_slot=byte_slot
@@ -292,8 +282,6 @@ class ABFTManager:
         counters = machine.counters
         counters.abft_detected += 1
         counters.abft_corrected += 1
-        self.stats.detected += 1
-        self.stats.corrected += 1
         tracer = machine.tracer
         if tracer is not None:
             tracer.instant("abft:wire-retransmit", "abft", dim=dim)

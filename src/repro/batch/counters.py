@@ -106,30 +106,6 @@ class LaneCounters(Counters):
         """One lane's per-phase time breakdown (scalar floats)."""
         return {name: float(arr[lane]) for name, arr in self.phase_times.items()}
 
-    # -- metrics publication -------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Vector-aware override: makespan clock, summed volumes, lane gauges."""
-        registry.publish("machine.ticks", float(self.time.max()),
-                         unit="ticks", help="simulated makespan (slowest lane)")
-        registry.publish("machine.flops", float(self.flops.sum()),
-                         unit="flops")
-        registry.publish("machine.elements_transferred",
-                         float(self.elements_transferred.sum()),
-                         unit="elements")
-        registry.publish("machine.comm_rounds",
-                         float(self.comm_rounds.sum()), unit="rounds")
-        registry.publish("machine.local_moves",
-                         float(self.local_moves.sum()), unit="elements")
-        registry.publish("batch.lanes", self.n_runs, kind="gauge")
-        active = (
-            self.n_runs
-            if self.active is None
-            else int(np.count_nonzero(self.active))
-        )
-        registry.publish("batch.active_lanes", active, kind="gauge")
-        self._publish_observability(registry)
-
     def reset(self) -> None:
         self._zero_lanes()
         self.plan_hits = 0

@@ -13,10 +13,12 @@ charge lands only on the active lanes, modelling each lane's own
 simulated clock.  The data of inactive lanes is the caller's business —
 the lane-masked write primitives in :mod:`.lanewise` leave it untouched.
 
-Observability and fault subsystems (tracer, sanitizer, ABFT, fault
-injection) audit *scalar* machines; attaching them here is rejected.
-:func:`repro.batch.sweep` routes configurations that need them to
-scalar sessions instead.
+A batch machine takes no attachment.  The tracer, sanitizer, ABFT and
+fault injection audit *scalar* machines, and :func:`repro.batch.sweep`
+routes configurations that need them to scalar sessions instead; the
+metrics registry's counted report would read vector-valued lane
+counters, and :meth:`~repro.batch.session.BatchSession.report_data` is
+the batch read-out.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class BatchHypercube(Hypercube):
 
     # -- unsupported subsystems ---------------------------------------------
 
-    #: Why each scalar-only slot rejects an attachment.
+    #: Why each slot rejects an attachment (every slot is scalar-only).
     _SCALAR_ONLY = {
         "tracer": (
             "tracing is not supported on a BatchHypercube; "
@@ -148,13 +150,14 @@ class BatchHypercube(Hypercube):
             "repro.batch.sweep routes faulty configs through "
             "run_resilient on scalar sessions"
         ),
+        "metrics": (
+            "the metrics registry reads scalar machines; "
+            "BatchSession.report_data() is the per-lane read-out"
+        ),
     }
 
     def attach(self, attachment: Any) -> Any:
-        reason = self._SCALAR_ONLY.get(attachment.slot)
-        if reason is not None:
-            raise ConfigError(reason)
-        return super().attach(attachment)
+        raise ConfigError(self._SCALAR_ONLY[attachment.slot])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

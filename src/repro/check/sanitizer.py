@@ -856,17 +856,6 @@ class MachineSanitizer:
         """The sanitizer's part of :meth:`repro.core.session.Session.report_data`."""
         return {"sanitizer": self.stats.as_dict()}
 
-    def publish_metrics(self, registry: Any) -> None:
-        """Publish check counts into a metrics registry (read-only)."""
-        registry.publish("sanitizer.checks", self.stats.total,
-                         help="total sanitizer checks run")
-        registry.publish("sanitizer.sample_every", self.sample_every,
-                         kind="gauge")
-        for kind, count in sorted(self.stats.checks.items()):
-            registry.publish(
-                f"sanitizer.checks.{kind.replace('-', '_')}", count
-            )
-
     # -- topology ---------------------------------------------------------------
 
     @_checks_span

@@ -502,43 +502,9 @@ class Session:
         return "\n".join(lines)
 
     def report_data(self) -> dict:
-        """The accounting summary as a JSON-serialisable dict.
-
-        The counters and plan cache, then each filled slot's own
-        ``report_data()`` in ``Hypercube.SLOTS`` order.
-        """
-        machine = self.machine
-        c = machine.counters
-        plans = machine.plans
-        data = {
-            "p": machine.p,
-            "n": machine.n,
-            "cost_model": str(machine.cost_model),
-            "time": c.time,
-            "flops": c.flops,
-            "elements_transferred": c.elements_transferred,
-            "comm_rounds": c.comm_rounds,
-            "local_moves": c.local_moves,
-            "plan_cache": (
-                {
-                    "enabled": True,
-                    "entries": len(plans),
-                    "hits": plans.hits,
-                    "misses": plans.misses,
-                    "evictions": plans.evictions,
-                }
-                if plans.enabled
-                else {"enabled": False}
-            ),
-            "phase_breakdown": [
-                {"phase": name, "time": t} for name, t in c.phase_breakdown()
-            ],
-        }
-        for slot in Hypercube.SLOTS:
-            attachment = getattr(machine, slot)
-            if attachment is not None:
-                data.update(attachment.report_data())
-        return data
+        """The accounting summary as a JSON-serialisable dict
+        (:meth:`Hypercube.report_data`)."""
+        return self.machine.report_data()
 
     def __repr__(self) -> str:
         return f"Session(p={self.machine.p}, time={self.time:.1f})"

@@ -91,7 +91,9 @@ class ExpansionLedger:
         """File heal events (current-machine coordinates) in root terms.
 
         Must be called *before* ``record_degrade`` updates the embedding —
-        the events were scheduled against the machine being abandoned.
+        the events were scheduled against the machine being abandoned.  A
+        link heal aimed at a one-processor machine is dropped: it has no
+        link to heal.
         """
         for ev in events:
             dim = getattr(ev, "dim", None)
@@ -99,8 +101,8 @@ class ExpansionLedger:
                 self.heals.append(
                     ("node", ev.time, None, self.to_root_pid(ev.pid))
                 )
-            else:
-                root_dim = self.to_root_dim(dim % max(len(self.embed_dims), 1))
+            elif self.embed_dims:
+                root_dim = self.to_root_dim(dim % len(self.embed_dims))
                 root_pid = self.to_root_pid(ev.pid)
                 self.heals.append(
                     ("link", ev.time, root_dim,

@@ -141,7 +141,7 @@ class FaultStats:
     bit_flips: int = 0
     link_corruptions: int = 0
     sdc_skipped: int = 0  # flips aimed at dead nodes / empty registries
-    # Gray-failure accounting (published under ``faults.gray.*``).
+    # Gray-failure accounting.
     link_slows: int = 0
     node_slows: int = 0
     gray_recoveries: int = 0
@@ -151,42 +151,13 @@ class FaultStats:
     flaky_drops: int = 0
     hedged_retransmits: int = 0
     straggler_detours: int = 0
-    # Heal / re-expansion accounting (published under ``faults.*``).
+    # Heal / re-expansion accounting.
     node_heals: int = 0
     link_heals: int = 0
     expansions: int = 0
 
-    #: stat names that publish under the ``faults.gray.`` prefix.
-    _GRAY = (
-        "link_slows",
-        "node_slows",
-        "gray_recoveries",
-        "slow_rounds",
-        "slow_time",
-        "flaky_links",
-        "flaky_drops",
-        "hedged_retransmits",
-        "straggler_detours",
-    )
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def publish_metrics(self, registry) -> None:
-        """Publish fault totals into a metrics registry (read-only).
-
-        Detour rounds publish as ``router.detours``: they are the router's
-        surcharge for dead links, reported beside the other router work.
-        Gray-failure totals publish under ``faults.gray.*``.
-        """
-        for name, value in self.as_dict().items():
-            if name == "detour_rounds":
-                continue
-            if name in self._GRAY:
-                registry.publish(f"faults.gray.{name}", value)
-            else:
-                registry.publish(f"faults.{name}", value)
-        registry.publish("router.detours", self.detour_rounds, unit="rounds")
 
 
 class HealthTracker:
@@ -358,10 +329,6 @@ class FaultInjector:
         """The injector's part of :meth:`repro.core.session.Session.report_data`."""
         return {"faults": self.stats.as_dict()}
 
-    def publish_metrics(self, registry) -> None:
-        """Delegate to the stats record (the registry walks attachments)."""
-        self.stats.publish_metrics(registry)
-
     def now(self) -> float:
         return self.machine.counters.time
 
@@ -410,15 +377,17 @@ class FaultInjector:
             if machine.kill_link(ev.dim, ev.pid):
                 self.stats.link_kills += 1
         elif isinstance(ev, LinkDrop):
-            self._armed_drops[ev.dim] = (
-                self._armed_drops.get(ev.dim, 0) + ev.count
-            )
-            self.stats.drops += ev.count
-            tracer = machine.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"link_drop:dim{ev.dim}", "fault", dim=ev.dim, count=ev.count
-                )
+            if machine.n < 1:
+                entry["skipped"] = True
+            else:
+                dim = ev.dim % machine.n
+                self._armed_drops[dim] = self._armed_drops.get(dim, 0) + ev.count
+                self.stats.drops += ev.count
+                tracer = machine.tracer
+                if tracer is not None:
+                    tracer.instant(
+                        f"link_drop:dim{dim}", "fault", dim=dim, count=ev.count
+                    )
         elif isinstance(ev, BitFlip):
             self._apply_bit_flip(ev, entry)
         elif isinstance(ev, LinkCorrupt):

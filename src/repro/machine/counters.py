@@ -152,35 +152,6 @@ class Counters:
             "evictions": self.plan_evictions,
         }
 
-    # -- metrics publication -------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Publish cost totals into a metrics registry (read-only).
-
-        Keeps to plain scalars so this module stays numpy-free;
-        :class:`~repro.batch.counters.LaneCounters` overrides with
-        vector-aware reductions.
-        """
-        registry.publish("machine.ticks", self.time, unit="ticks",
-                         help="simulated machine time")
-        registry.publish("machine.flops", self.flops, unit="flops")
-        registry.publish("machine.elements_transferred",
-                         self.elements_transferred, unit="elements")
-        registry.publish("machine.comm_rounds", self.comm_rounds,
-                         unit="rounds")
-        registry.publish("machine.local_moves", self.local_moves,
-                         unit="elements")
-        self._publish_observability(registry)
-
-    def _publish_observability(self, registry) -> None:
-        """The observability-only fields (shared with the lane override)."""
-        registry.publish("plan_cache.hits", self.plan_hits)
-        registry.publish("plan_cache.misses", self.plan_misses)
-        registry.publish("plan_cache.evictions", self.plan_evictions)
-        registry.publish("abft.detected", self.abft_detected)
-        registry.publish("abft.corrected", self.abft_corrected)
-        registry.publish("abft.recomputed", self.abft_recomputed)
-
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> CostSnapshot:

@@ -17,7 +17,7 @@ are validated *against* the simulator in the tests).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import contextlib
 
@@ -61,8 +61,13 @@ class Hypercube:
     #: attachment class names its ``slot`` and implements
     #: ``bind(machine)``, ``rebind(machine)`` (move onto the successor of a
     #: degrade or promote) and ``report_data()`` (its keys of
-    #: ``Session.report_data``, which follows this order).
+    #: :meth:`report_data`, which follows this order).
     SLOTS = ("faults", "sanitizer", "abft", "tracer", "metrics")
+
+    #: The leading slots, whose sections count what the machine did.  The
+    #: tracer and the metrics registry report on themselves (a span-tree
+    #: fold, a snapshot count), so :meth:`counted_report` stops here.
+    COUNTED_SLOTS = SLOTS[:3]
 
     def __init__(
         self,
@@ -675,6 +680,56 @@ class Hypercube:
 
     def elapsed_since(self, start: CostSnapshot) -> CostSnapshot:
         return self.counters.snapshot() - start
+
+    # -- reporting -------------------------------------------------------------
+
+    def counted_report(self) -> Dict[str, Any]:
+        """What the machine did, as a JSON-serialisable dict.
+
+        Shape, cost counters, plan cache and phase breakdown, then each
+        filled :attr:`COUNTED_SLOTS` slot's ``report_data()``.  The
+        metrics registry reads exactly this.
+        """
+        c = self.counters
+        plans = self.plans
+        data: Dict[str, Any] = {
+            "p": self.p,
+            "n": self.n,
+            "cost_model": str(self.cost_model),
+            "time": c.time,
+            "flops": c.flops,
+            "elements_transferred": c.elements_transferred,
+            "comm_rounds": c.comm_rounds,
+            "local_moves": c.local_moves,
+            "plan_cache": (
+                {
+                    "enabled": True,
+                    "entries": len(plans),
+                    "hits": plans.hits,
+                    "misses": plans.misses,
+                    "evictions": plans.evictions,
+                }
+                if plans.enabled
+                else {"enabled": False}
+            ),
+            "phase_breakdown": [
+                {"phase": name, "time": t} for name, t in c.phase_breakdown()
+            ],
+        }
+        for slot in self.COUNTED_SLOTS:
+            attachment = getattr(self, slot)
+            if attachment is not None:
+                data.update(attachment.report_data())
+        return data
+
+    def report_data(self) -> Dict[str, Any]:
+        """:meth:`counted_report`, then the tracer's and the registry's
+        own sections: every filled slot in :attr:`SLOTS` order."""
+        data = self.counted_report()
+        for attachment in (self.tracer, self.metrics):
+            if attachment is not None:
+                data.update(attachment.report_data())
+        return data
 
     # -- communication primitive -----------------------------------------------
 

@@ -211,15 +211,6 @@ class PlanCache:
                 value = self.store(key, build())
         return value
 
-    # -- metrics publication ---------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Publish cache shape into a metrics registry (hit/miss counts
-        live on ``machine.counters`` and publish from there)."""
-        registry.publish("plan_cache.entries", len(self._store), kind="gauge")
-        registry.publish("plan_cache.enabled", 1.0 if self.enabled else 0.0,
-                         kind="gauge")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
         return (

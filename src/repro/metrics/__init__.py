@@ -2,10 +2,12 @@
 
 Two layers (see ``docs/observability.md`` and ``docs/performance.md``):
 
-* :mod:`repro.metrics.registry` — a flat, typed metric namespace every
-  subsystem publishes into (``plan_cache.hits``, ``abft.scrub_rounds``,
-  ``router.detours``, ``batch.active_lanes``, ...), snapshotable on the
-  simulated clock, exportable as JSONL or Chrome counter tracks.
+* :mod:`repro.metrics.registry` — the machine's counted report
+  (:meth:`repro.machine.hypercube.Hypercube.counted_report`) flattened
+  into one namespace of ``report_data`` paths (``machine.time``,
+  ``plan_cache.hits``, ``faults.detour_rounds``, ``abft.scrubs``, ...),
+  snapshotable on the simulated clock, exportable as JSONL or Chrome
+  counter tracks.
 * :mod:`repro.metrics.warehouse` — declarative run tables behind
   ``python -m repro bench``, appending schema-versioned JSONL records to
   ``benchmarks/warehouse/`` and gating CI against pinned baselines.
@@ -17,12 +19,11 @@ bit-identical simulated costs on or off.
 """
 
 from .registry import ENV_FLAG as METRICS_ENV_FLAG
-from .registry import Metric, MetricsRegistry
+from .registry import MetricsRegistry
 from .timing import TimedRun, best_of
 
 __all__ = [
     "MetricsRegistry",
-    "Metric",
     "TimedRun",
     "best_of",
     "METRICS_ENV_FLAG",

@@ -1,39 +1,38 @@
-"""Metrics registry: one flat, typed namespace for every subsystem's counters.
+"""Metrics registry: the machine's counted report as one flat namespace.
 
-The simulator has grown half a dozen observability surfaces — plan-cache
-hit counts on :class:`~repro.machine.counters.Counters`, fault totals on
-``FaultStats``, checksum totals on ``ABFTStats``, sanitizer check counts,
-per-lane batch accounting — each with its own ad-hoc dict shape.  The
-:class:`MetricsRegistry` gives them one publication contract:
+Every subsystem reports its state once, through ``report_data()``, and
+:meth:`repro.machine.hypercube.Hypercube.counted_report` gathers the
+counting part: shape, cost counters, plan cache, phase breakdown and the
+``faults``, ``sanitizer`` and ``abft`` sections.  The
+:class:`MetricsRegistry` reads nothing else:
 
-* every subsystem implements ``publish_metrics(registry)`` and calls
-  :meth:`MetricsRegistry.publish` with flat dotted lowercase names
-  (``plan_cache.hits``, ``abft.scrub_rounds``, ``router.detours``,
-  ``batch.active_lanes``, ...);
-* :meth:`collect` walks the bound machine's attachments and returns one
-  ``{name: value}`` dict;
+* :meth:`MetricsRegistry.collect` is one :func:`flatten` of that report,
+  so a metric name is a ``report_data`` path (``machine.time``,
+  ``plan_cache.hits``, ``faults.detour_rounds``, ``abft.scrubs``,
+  ``sanitizer.plan-hit``, ...);
 * :meth:`snapshot` records a collection *on the simulated clock*, so a
   run's metric history lines up with its Chrome trace;
 * :meth:`to_jsonl` / :meth:`counter_track_events` export the history as
   JSON Lines or as Chrome trace-event counter (``"C"``) tracks that load
   next to the span tree from :mod:`repro.obs`.
 
-Design contract (same as the PR 2 tracer, pinned by
-``tests/test_metrics.py``):
+Design contract (same as the tracer, pinned by ``tests/test_metrics.py``):
 
 * **Null by default.**  ``machine.metrics`` is ``None`` unless attached;
   a run without the registry never imports this module.
 * **Read-only.**  The registry never charges the machine and never
   mutates subsystem state; simulated ticks and every counter are
   bit-identical with metrics on or off.
+* **No span-tree fold.**  The tracer's and the registry's own sections
+  stay out of the counted report, so a phase-exit snapshot never folds
+  the span tree.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
-from typing import Any, Dict, IO, List, Optional, Union
+from numbers import Real
+from typing import Any, Dict, IO, List, Union
 
 from ..errors import ConfigError
 
@@ -41,29 +40,31 @@ from ..errors import ConfigError
 ENV_FLAG = "REPRO_METRICS"
 
 #: JSONL schema tag written by :meth:`MetricsRegistry.to_jsonl`.
-SCHEMA = "repro-metrics-v1"
+SCHEMA = "repro-metrics-v2"
 
 #: Cap on stored snapshots: auto-snapshots (taken on phase exits) stop
 #: here so a long solver loop cannot grow the history without bound.
 MAX_SNAPSHOTS = 4096
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
-_KINDS = ("counter", "gauge")
+def flatten(data: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
+    """A ``report_data()`` dict as flat ``{dotted path: float}``.
 
-
-@dataclass(frozen=True)
-class Metric:
-    """One registered metric: its name, kind and documentation."""
-
-    name: str
-    kind: str = "counter"  # "counter" (monotone total) or "gauge" (level)
-    unit: str = ""
-    help: str = ""
+    Nested dicts join their keys with dots; top-level numbers go under
+    ``machine.``.  Strings and lists (the cost model, the phase
+    breakdown) are skipped, and bools become 0.0 or 1.0.
+    """
+    out: Dict[str, float] = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            out.update(flatten(value, f"{prefix}{key}."))
+        elif isinstance(value, Real):
+            out[f"{prefix or 'machine.'}{key}"] = float(value)
+    return out
 
 
 class MetricsRegistry:
-    """A flat metric namespace bound to one machine.
+    """Snapshots of one machine's counted report.
 
     Attach with :meth:`Hypercube.attach` (or
     ``Session(metrics=True)``, or ``REPRO_METRICS=1``).  The registry
@@ -80,10 +81,8 @@ class MetricsRegistry:
                 f"max_snapshots must be >= 1, got {max_snapshots}"
             )
         self.machine = None
-        self.metrics: Dict[str, Metric] = {}
         self.snapshots: List[Dict[str, Any]] = []
         self.max_snapshots = int(max_snapshots)
-        self._sink: Optional[Dict[str, float]] = None
 
     # -- binding --------------------------------------------------------------
 
@@ -98,102 +97,26 @@ class MetricsRegistry:
         """Re-bind to a replacement machine (degraded-mode recovery)."""
         self.machine = machine
 
-    # -- publication ----------------------------------------------------------
-
-    def register(
-        self, name: str, kind: str = "counter", unit: str = "", help: str = ""
-    ) -> Metric:
-        """Declare a metric; idempotent, but conflicting re-declarations fail.
-
-        Names are flat dotted lowercase (``subsystem.metric``); the first
-        declaration wins and later ones must agree on kind and unit, so two
-        subsystems can never silently publish different things under one
-        name.
-        """
-        if not _NAME_RE.match(name):
-            raise ConfigError(
-                f"invalid metric name {name!r}: use flat dotted lowercase "
-                f"like 'plan_cache.hits'"
-            )
-        if kind not in _KINDS:
-            raise ConfigError(
-                f"invalid metric kind {kind!r} for {name}: one of {_KINDS}"
-            )
-        existing = self.metrics.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.unit != unit:
-                raise ConfigError(
-                    f"metric {name!r} re-registered as {kind}/{unit!r} but "
-                    f"is already {existing.kind}/{existing.unit!r}"
-                )
-            return existing
-        metric = Metric(name, kind, unit, help)
-        self.metrics[name] = metric
-        return metric
-
-    def publish(
-        self,
-        name: str,
-        value: Any,
-        kind: str = "counter",
-        unit: str = "",
-        help: str = "",
-    ) -> None:
-        """Record one value into the collection in progress.
-
-        Called from subsystems' ``publish_metrics`` hooks; registers the
-        metric on first publication.  Outside a collection this only
-        registers (so eager declaration is harmless).
-        """
-        self.register(name, kind, unit, help)
-        if self._sink is not None:
-            self._sink[name] = float(value)
-
     # -- collection -----------------------------------------------------------
 
-    def collect_from(self, *publishers: Any) -> Dict[str, float]:
-        """One collection pass over explicit publisher objects."""
-        if self._sink is not None:
-            raise ConfigError("metric collection is already in progress")
-        self._sink = {}
-        try:
-            for publisher in publishers:
-                publisher.publish_metrics(self)
-            return self._sink
-        finally:
-            self._sink = None
-
     def collect(self) -> Dict[str, float]:
-        """Walk the bound machine's attachments; returns ``{name: value}``."""
+        """The bound machine's counted report, flattened."""
         machine = self.machine
         if machine is None:
             raise ConfigError("metrics registry is not bound to a machine")
-        publishers = [machine.counters, machine.plans]
-        for attachment in (machine.faults, machine.abft, machine.sanitizer):
-            if attachment is not None:
-                publishers.append(attachment)
-        return self.collect_from(*publishers)
+        return flatten(machine.counted_report())
 
     def report_data(self) -> Dict[str, Any]:
         """The registry's part of :meth:`repro.core.session.Session.report_data`."""
-        return {"metrics": self.collect()}
+        return {"metrics": {"snapshots": len(self.snapshots)}}
 
     # -- snapshots on the simulated clock -------------------------------------
-
-    def _sim_time(self) -> float:
-        time = self.machine.counters.time
-        try:
-            return float(time)
-        except TypeError:
-            # LaneCounters: vector-valued time; the machine clock is the
-            # slowest lane (the makespan).
-            return float(max(time))
 
     def snapshot(self, label: str = "") -> Dict[str, Any]:
         """Collect now and append to the history, stamped with sim time."""
         record = {
             "label": label,
-            "sim_time": self._sim_time(),
+            "sim_time": float(self.machine.counters.time),
             "values": self.collect(),
         }
         if len(self.snapshots) < self.max_snapshots:
@@ -215,7 +138,8 @@ class MetricsRegistry:
         """Write the snapshot history as JSON Lines; returns the line count.
 
         The first line is a ``meta`` record (schema tag, machine shape,
-        metric declarations); each following line is one snapshot.
+        the metric names every snapshot's keys add up to); each following
+        line is one snapshot.
         """
         if hasattr(dest, "write"):
             fh, owned = dest, False
@@ -226,15 +150,11 @@ class MetricsRegistry:
             meta: Dict[str, Any] = {
                 "type": "meta",
                 "schema": SCHEMA,
-                "metrics": [
-                    {
-                        "name": m.name,
-                        "kind": m.kind,
-                        "unit": m.unit,
-                        "help": m.help,
-                    }
-                    for m in self.metrics.values()
-                ],
+                "metrics": list(
+                    dict.fromkeys(
+                        name for snap in self.snapshots for name in snap["values"]
+                    )
+                ),
             }
             if machine is not None:
                 meta.update(
@@ -292,15 +212,12 @@ class MetricsRegistry:
         return events
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricsRegistry({len(self.metrics)} metrics, "
-            f"{len(self.snapshots)} snapshots)"
-        )
+        return f"MetricsRegistry({len(self.snapshots)} snapshots)"
 
 
 __all__ = [
     "MetricsRegistry",
-    "Metric",
+    "flatten",
     "ENV_FLAG",
     "SCHEMA",
     "MAX_SNAPSHOTS",

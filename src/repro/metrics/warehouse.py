@@ -1,24 +1,21 @@
 """Experiment warehouse: declarative run tables, JSONL history, gates.
 
-Benchmarks used to live in one hand-edited ``BENCH_wallclock.json``.
-This module is the metricbench-style replacement:
-
 * a **run table** declares runs as workload x size x feature flags x
   reps (built-in ``smoke``/``full`` tables, or a JSON file);
 * :func:`run_table` executes each run on a fresh :class:`~repro.core.
-  session.Session` with the metrics registry attached, optionally
-  validating results against NumPy references (``--validate``);
+  session.Session`, optionally validating results against NumPy
+  references (``--validate``);
 * every run appends one schema-versioned JSONL record (git rev, params,
-  wall seconds, simulated costs, metrics snapshot, and the host-time
-  profile of one traced rep) to ``benchmarks/warehouse/runs.jsonl`` — a
-  queryable, append-only history;
+  wall seconds, simulated costs, the flattened counted report as
+  ``metrics``, and the host-time profile of one traced rep) to
+  ``benchmarks/warehouse/runs.jsonl`` — a queryable, append-only
+  history that also keeps, as ``legacy-import`` records, the numbers of
+  the hand-edited benchmark file that preceded it;
 * :func:`pin_baselines` freezes the latest record per experiment key and
   :func:`compare` gates later runs against the pin: any simulated-tick
   increase is a regression (simulated costs are deterministic, so the
   gate is exact and CI-safe); wall-clock regressions gate only when a
   tolerance is given (host speed varies across machines);
-* :func:`import_legacy` migrates the frozen ``BENCH_wallclock.json``
-  history into warehouse records;
 * :data:`SPEEDUP_TARGETS` holds the amortized-speedup floors a built-in
   table must reach (:func:`missed_targets`).
 
@@ -41,7 +38,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..obs.tracer import Tracer
-from .registry import MetricsRegistry
+from .registry import flatten
 from .timing import best_of
 
 #: Schema tag stamped on every warehouse record.
@@ -409,7 +406,7 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         sanitize=sanitize,
         abft=bool(flags["abft"]),
         trace=False,
-        metrics=MetricsRegistry(),
+        metrics=False,
     )
 
     def reset() -> None:
@@ -420,7 +417,7 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
     run(session)  # warm-up: first-touch plan construction is not the metric
     timed = best_of(lambda: run(session), spec.reps, setup=reset)
     sim = session.snapshot().as_dict()
-    metrics = session.metrics.collect()
+    metrics = flatten(session.machine.counted_report())
 
     # The timed reps run untraced; one more rep, traced inside a ``run``
     # window, gives the record its host-time profile on both clocks.
@@ -920,108 +917,6 @@ def compare(
     }
 
 
-# ---------------------------------------------------------------------------
-# legacy migration
-# ---------------------------------------------------------------------------
-
-def import_legacy(path: str) -> List[Dict[str, Any]]:
-    """Convert a ``BENCH_wallclock.json`` history into warehouse records.
-
-    Every measured configuration becomes one ``legacy-import`` record;
-    the source experiment name lands in ``flags["legacy"]`` so legacy
-    keys can never collide with (or gate) fresh warehouse runs.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} is not a benchmark report object")
-
-    stamp = time.time()
-
-    def make(workload, params, flags, wall_best, sim_time, reps=None):
-        record = {
-            "schema": SCHEMA,
-            "kind": "legacy-import",
-            "recorded_unix": stamp,
-            "git_rev": git_rev(),
-            "host": {"source": os.path.basename(path)},
-            "workload": workload,
-            "params": dict(params),
-            "flags": flags,
-            "reps": reps,
-            "wall_s": {"best": wall_best, "mean": None},
-            "sim": {"time": sim_time},
-            "metrics": {},
-        }
-        validate_record(record)
-        return record
-
-    records: List[Dict[str, Any]] = []
-    for section in ("results", "scaling"):
-        for entry in doc.get(section, []) or []:
-            snap_time = float(entry.get("snapshot", {}).get("time", 0.0))
-            for on, wall_key in ((True, "cache_on_s"), (False, "cache_off_s")):
-                records.append(
-                    make(
-                        entry["workload"],
-                        entry["params"],
-                        {"legacy": entry.get("experiment", section),
-                         "plan_cache": on},
-                        float(entry[wall_key]),
-                        snap_time,
-                        entry.get("reps"),
-                    )
-                )
-    sanitizer = doc.get("sanitizer_overhead")
-    if sanitizer:
-        snap_time = float(sanitizer.get("snapshot", {}).get("time", 0.0))
-        for on, wall_key in ((True, "sanitize_on_s"), (False, "sanitize_off_s")):
-            records.append(
-                make(
-                    sanitizer.get("workload", "gaussian"),
-                    sanitizer["params"],
-                    {"legacy": "sanitizer-overhead", "sanitize": on},
-                    float(sanitizer[wall_key]),
-                    snap_time,
-                    sanitizer.get("reps"),
-                )
-            )
-    abft = doc.get("abft_overhead")
-    if abft:
-        for workload in ("gaussian", "matvec"):
-            entry = abft.get(workload)
-            if not entry:
-                continue
-            for on, wall_key, sim_key in (
-                (True, "abft_on_s", "simulated_on"),
-                (False, "abft_off_s", "simulated_off"),
-            ):
-                records.append(
-                    make(
-                        workload,
-                        abft["params"],
-                        {"legacy": "abft-overhead", "abft": on},
-                        float(entry[wall_key]),
-                        float(entry[sim_key]),
-                        abft.get("reps"),
-                    )
-                )
-    batch = doc.get("batch_speedup")
-    if batch:
-        for point in batch.get("curve", []) or []:
-            records.append(
-                make(
-                    point["workload"],
-                    point["params"],
-                    {"legacy": "batch-hypervisor"},
-                    float(point["batch_s"]),
-                    0.0,
-                    point.get("reps"),
-                )
-            )
-    return records
-
-
 __all__ = [
     "SCHEMA",
     "BASELINE_SCHEMA",
@@ -1043,5 +938,4 @@ __all__ = [
     "pin_baselines",
     "load_baselines",
     "compare",
-    "import_legacy",
 ]

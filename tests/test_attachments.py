@@ -105,16 +105,13 @@ def test_each_attachment_class_names_its_slot():
         assert attachment.machine is m
 
 
-def test_batch_machine_takes_only_metrics():
+def test_batch_machine_takes_no_attachment():
     m = BatchHypercube(2, n_runs=3)
     for attachment in _attachments():
-        if attachment.slot == "metrics":
-            assert m.attach(attachment) is attachment
-            assert attachment.machine is m
-        else:
-            with pytest.raises(ConfigError):
-                m.attach(attachment)
-            assert getattr(m, attachment.slot) is None
+        with pytest.raises(ConfigError):
+            m.attach(attachment)
+        assert getattr(m, attachment.slot) is None
+        assert attachment.machine is None
 
 
 def test_every_attachment_survives_degrade_and_promote():

@@ -110,6 +110,24 @@ class TestTrace:
         assert lines[0]["type"] == "meta"
         validate_chrome_trace_file(out)
 
+    def test_solve_workload_with_metrics_jsonl(self, capsys, tmp_path):
+        out = str(tmp_path / "trace.json")
+        metrics = str(tmp_path / "metrics.jsonl")
+        assert main(["trace", "-n", "4", "--workload", "solve",
+                     "--size", "12", "--out", out, "--metrics-jsonl",
+                     metrics, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        lines = [json.loads(l) for l in open(metrics)]
+        assert len(lines) == data["metrics_jsonl_lines"] > 1
+        meta, snaps = lines[0], lines[1:]
+        assert meta["type"] == "meta"
+        assert meta["schema"] == "repro-metrics-v2"
+        names = {name for snap in snaps for name in snap["values"]}
+        assert sorted(meta["metrics"]) == sorted(names)
+        assert "machine.time" in names
+        assert data["report"]["metrics"] == {"snapshots": len(snaps)}
+        assert validate_chrome_trace_file(out)["counters"] > 0
+
 
 class TestParser:
     def test_requires_subcommand(self):

@@ -205,6 +205,26 @@ class TestInjector:
         assert m.counters.time == pytest.approx(3 * one_round + expected_backoff)
         assert inj.stats.backoff_time == pytest.approx(expected_backoff)
 
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_drop_past_the_cube_retries_on_its_wrapped_dim(self, dim):
+        """Like the other dimension-carrying kinds, a drop arms under
+        ``dim % n``: dim 5 on a 2-cube is retried on dim 1."""
+        s = Session(2, faults=FaultPlan([LinkDrop(0.0, dim=dim, count=2)]))
+        M = s.matrix(np.arange(16.0).reshape(4, 4))
+        for _ in range(3):
+            M.reduce(axis=1, op="sum")
+        stats = s.faults.stats
+        assert (stats.drops, stats.retries) == (2, 2)
+        assert s.faults._armed_drops == {}
+
+    def test_drop_on_a_zero_dimensional_machine_is_skipped(self):
+        m = Hypercube(0)
+        inj = m.attach(FaultInjector(FaultPlan([LinkDrop(0.0, dim=3)])))
+        inj.poll()
+        assert inj.stats.drops == 0
+        assert inj._armed_drops == {}
+        assert inj.log[-1]["skipped"] is True
+
     def test_backoff_is_capped(self):
         retry = RetryPolicy(max_retries=8, base=1.0, factor=10.0, cap=5.0)
         assert retry.backoff(0) == 1.0

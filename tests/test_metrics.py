@@ -28,7 +28,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.machine.hypercube import Hypercube
 from repro.metrics import MetricsRegistry
-from repro.metrics.registry import MAX_SNAPSHOTS, SCHEMA
+from repro.metrics.registry import MAX_SNAPSHOTS, SCHEMA, flatten
 from repro.obs import (
     Tracer,
     chrome_trace_events,
@@ -92,56 +92,52 @@ class TestNullDefault:
             Hypercube(3).attach(r)
 
 
-# -- registry: names, kinds, publication --------------------------------------
+# -- registry: the flattened counted report -----------------------------------
+
+
+def _observed_session(**kwargs):
+    """A session with faults, the sanitizer, ABFT and metrics attached."""
+    plan = FaultPlan.random(4, seed=3, horizon=5e3, link_kills=2, drops=0)
+    return Session(
+        4, faults=plan, sanitize=MachineSanitizer(), abft=True,
+        metrics=True, **kwargs
+    )
+
+
+class TestFlatten:
+    def test_nesting_numbers_strings_lists_and_bools(self):
+        data = {
+            "p": 8,
+            "cost_model": "CostModel(...)",
+            "time": 2.5,
+            "phase_breakdown": [{"phase": "x", "time": 1.0}],
+            "plan_cache": {"enabled": True, "hits": 3},
+            "sanitizer": {"plan-hit": 4, "deep": {"off": False}},
+        }
+        assert flatten(data) == {
+            "machine.p": 8.0,
+            "machine.time": 2.5,
+            "plan_cache.enabled": 1.0,
+            "plan_cache.hits": 3.0,
+            "sanitizer.plan-hit": 4.0,
+            "sanitizer.deep.off": 0.0,
+        }
 
 
 class TestRegistry:
-    def test_rejects_bad_names(self):
-        r = MetricsRegistry()
-        for bad in ("nodots", "Upper.case", "plan cache.hits", ".leading",
-                    "trailing.", "1starts.with_digit"):
-            with pytest.raises(ConfigError):
-                r.register(bad)
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ConfigError):
-            MetricsRegistry().register("a.b", kind="histogram")
-
-    def test_register_idempotent_but_conflicts_fail(self):
-        r = MetricsRegistry()
-        m1 = r.register("plan_cache.hits", unit="count")
-        assert r.register("plan_cache.hits", unit="count") is m1
-        with pytest.raises(ConfigError):
-            r.register("plan_cache.hits", kind="gauge", unit="count")
-        with pytest.raises(ConfigError):
-            r.register("plan_cache.hits", unit="ticks")
-
-    def test_publish_outside_collection_only_registers(self):
-        r = MetricsRegistry()
-        r.publish("machine.ticks", 42.0, unit="ticks")
-        assert "machine.ticks" in r.metrics
-        assert r.snapshots == []
-
-    def test_nested_collection_fails(self):
-        r = MetricsRegistry()
-
-        class Evil:
-            def publish_metrics(self, registry):
-                registry.collect_from(self)
-
-        with pytest.raises(ConfigError):
-            r.collect_from(Evil())
-
     def test_collect_matches_counters(self):
         s = Session(4, metrics=True)
         run_gaussian(s, size=12)
         values = s.metrics.collect()
         snap = s.machine.counters.snapshot()
-        assert values["machine.ticks"] == snap.time
+        assert values["machine.time"] == snap.time
         assert values["machine.flops"] == snap.flops
         assert values["machine.comm_rounds"] == snap.comm_rounds
+        assert values["machine.p"] == 16.0 and values["machine.n"] == 4.0
         assert values["plan_cache.hits"] == s.machine.counters.plan_hits
         assert values["plan_cache.enabled"] == 1.0
+        # abft.* appear only with ABFT attached
+        assert not any(name.startswith("abft.") for name in values)
 
     def test_collect_includes_sanitizer_and_detours(self):
         plan = FaultPlan.random(4, seed=3, horizon=5e3, link_kills=2, drops=0)
@@ -150,18 +146,68 @@ class TestRegistry:
         )
         run_gaussian(s, size=10)
         values = s.metrics.collect()
-        assert values["sanitizer.checks"] > 0
-        assert values["sanitizer.sample_every"] == 1.0
-        # detour_rounds is published under the router namespace
-        assert "router.detours" in values
-        assert values["router.detours"] == s.faults.stats.detour_rounds
+        checks = s.sanitizer.stats
+        assert values["sanitizer.total"] == checks.total > 0
+        # one metric per check kind, named by the check itself
+        assert values["sanitizer.plan-hit"] == checks.checks["plan-hit"]
+        assert "sanitizer.sample_every" not in values
+        assert values["faults.detour_rounds"] == s.faults.stats.detour_rounds
+        assert "router.detours" not in values
 
     def test_abft_metrics_published(self):
         s = Session(4, abft=True, metrics=True)
         run_gaussian(s, size=10)
         values = s.metrics.collect()
         assert values["abft.protected"] > 0
-        assert "abft.scrub_rounds" in values
+        assert "abft.scrubs" in values
+        assert values["abft.detected"] == s.machine.counters.abft_detected
+        assert "abft.registry_blocks" not in values
+
+    def test_collect_is_the_flattened_counted_report(self):
+        """Every section but the tracer's and the registry's own."""
+        s = _observed_session(trace=False)
+        run_gaussian(s, size=10)
+        data = s.report_data()
+        del data["metrics"]
+        values = s.metrics.collect()
+        assert values == flatten(data)
+        assert {name.partition(".")[0] for name in values} == {
+            "machine", "plan_cache", "faults", "sanitizer", "abft",
+        }
+        assert "faults.link_slows" in values  # not faults.gray.*
+
+    def test_collect_never_folds_the_span_tree(self, monkeypatch):
+        s = _observed_session(trace=True)
+
+        def fold(*args, **kwargs):
+            raise AssertionError("a metrics snapshot read the tracer")
+
+        monkeypatch.setattr(s.tracer, "report_data", fold)
+        run_gaussian(s, size=10)  # every phase exit snapshots
+        assert s.metrics.snapshots
+        values = s.metrics.collect()
+        assert not [
+            name for name in values
+            if name.startswith(("profile.", "primitive_breakdown.",
+                                "congestion.", "metrics."))
+        ]
+
+    def test_plan_cache_off_reports_only_enabled(self):
+        s = Session(3, plan_cache=False, metrics=True)
+        run_gaussian(s, size=8)
+        values = s.metrics.collect()
+        assert {n for n in values if n.startswith("plan_cache.")} == {
+            "plan_cache.enabled"
+        }
+        assert values["plan_cache.enabled"] == 0.0
+
+    def test_report_data_counts_snapshots(self):
+        s = Session(3, metrics=True)
+        run_gaussian(s, size=8)
+        assert s.metrics.snapshots
+        assert s.metrics.report_data() == {
+            "metrics": {"snapshots": len(s.metrics.snapshots)}
+        }
 
 
 # -- snapshots and export -----------------------------------------------------
@@ -196,13 +242,17 @@ class TestSnapshots:
         assert lines == len(raw) == len(s.metrics.snapshots) + 1
         meta = json.loads(raw[0])
         assert meta["type"] == "meta"
-        assert meta["schema"] == SCHEMA
+        assert meta["schema"] == SCHEMA == "repro-metrics-v2"
         assert meta["p"] == 8
+        names = set()
         for line in raw[1:]:
             rec = json.loads(line)
             assert set(rec) == {"type", "label", "sim_time", "values"}
             assert rec["type"] == "snapshot"
-            assert rec["values"]["machine.ticks"] <= s.machine.counters.time
+            assert rec["values"]["machine.time"] <= s.machine.counters.time
+            names.update(rec["values"])
+        assert len(meta["metrics"]) == len(names)
+        assert set(meta["metrics"]) == names
 
     def test_counter_track_validates_as_chrome_trace(self):
         s = Session(3, metrics=True)
@@ -328,7 +378,7 @@ class TestDegrade:
         assert tracer.machine is s.machine
         with tracer.span("run", "run"):
             run_gaussian(s, size=6)
-        assert registry.collect()["machine.ticks"] > 0
+        assert registry.collect()["machine.time"] > 0
         assert tracer.profile()["total_s"] > 0
 
 

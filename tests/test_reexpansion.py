@@ -23,7 +23,7 @@ from repro.faults import (
     gaussian_workload,
     run_resilient,
 )
-from repro.faults.plan import BitFlip
+from repro.faults.plan import BitFlip, LinkHeal
 
 N_DIMS = 4
 SIZE = 16
@@ -147,6 +147,20 @@ class TestGates:
         s.promote()
         assert s.machine.p == 8
         assert injector.stats.expansions == 1
+
+    def test_link_heal_aimed_at_a_one_processor_survivor_is_dropped(self):
+        """A machine with no dimensions has no link to heal, so losing
+        its last processor ends in FaultError, not IndexError."""
+        s = Session(2, "unit", faults=FaultPlan(()))
+        s.machine.kill_node(1)
+        s.machine.kill_node(2)
+        s.degrade()
+        assert s.machine.p == 1
+        s.faults._pending.append(LinkHeal(1e9, dim=0, pid=0))
+        s.machine.kill_node(0)
+        with pytest.raises(FaultError):
+            s.degrade()
+        assert [h for h in s._expansion.heals if h[0] == "link"] == []
 
     def test_promotion_consumes_the_heal(self):
         """Each promote resets the heal flag: growing further requires

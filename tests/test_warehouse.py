@@ -10,7 +10,6 @@ import dataclasses
 import json
 import os
 import subprocess
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +76,18 @@ class TestRunTables:
                                {"legacy": "cache-sweep", "plan_cache": True})
         assert fresh != legacy
 
+    def test_tracked_legacy_records_load_but_never_pin(self, tmp_path):
+        """The retired benchmark file's history stays readable in the
+        tracked runs file, and pinning never picks it up."""
+        records = wh.load_records(
+            os.path.join(wh.default_warehouse_dir(), wh.RUNS_FILE)
+        )
+        legacy = [r for r in records if r["kind"] == "legacy-import"]
+        assert len(legacy) == 26
+        assert all("legacy" in r["flags"] for r in legacy)
+        doc = wh.pin_baselines(legacy, str(tmp_path / "baselines.json"))
+        assert doc["entries"] == {}
+
 
 # -- running and validation ---------------------------------------------------
 
@@ -91,7 +102,10 @@ class TestRunAndValidate:
         assert record["validated"] is True
         assert record["sim"]["time"] > 0
         assert record["wall_s"]["best"] > 0
-        assert record["metrics"]["machine.ticks"] == record["sim"]["time"]
+        assert record["metrics"]["machine.time"] == record["sim"]["time"]
+        assert record["metrics"]["plan_cache.enabled"] == 1.0
+        assert not any(name.startswith(("profile.", "metrics."))
+                       for name in record["metrics"])
         assert record["profile"]["coverage"] >= 0.0
 
     def test_batch_workload_runs(self):
@@ -263,56 +277,6 @@ class TestBenchCli:
         data = json.loads(capsys.readouterr().out)
         assert data["runs"] == 2
         assert data["failures"] == []
-
-
-# -- legacy migration ---------------------------------------------------------
-
-
-class TestLegacyImport:
-    def test_import_repo_history(self, tmp_path, capsys):
-        legacy = Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
-        if not legacy.exists():
-            pytest.skip("no legacy benchmark history in checkout")
-        out = str(tmp_path / "wh")
-        assert main(["bench", "import", "--legacy", str(legacy),
-                     "--out", out]) == 0
-        records = wh.load_records(_runs_path(out))
-        assert len(records) >= 2
-        for record in records:
-            assert record["kind"] == "legacy-import"
-            assert "legacy" in record["flags"]
-
-    def test_legacy_records_never_gate_fresh_runs(self, tmp_path):
-        doc = {
-            "results": [
-                {
-                    "workload": "gaussian",
-                    "experiment": "cache-sweep",
-                    "params": {"n_dims": 3, "order": 8},
-                    "reps": 2,
-                    "cache_on_s": 0.5,
-                    "cache_off_s": 0.9,
-                    "snapshot": {"time": 1234.0},
-                }
-            ]
-        }
-        path = tmp_path / "BENCH_wallclock.json"
-        path.write_text(json.dumps(doc))
-        records = wh.import_legacy(str(path))
-        assert len(records) == 2
-        spec = wh.RunSpec("gaussian", {"n_dims": 3, "order": 8})
-        fresh_key = wh.record_key("gaussian", spec.params,
-                                  spec.resolved_flags())
-        legacy_keys = {
-            wh.record_key(r["workload"], r["params"], r["flags"])
-            for r in records
-        }
-        assert fresh_key not in legacy_keys
-
-    def test_import_missing_file_errors(self, tmp_path, capsys):
-        assert main(["bench", "import",
-                     "--legacy", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "wh")]) == 2
 
 
 # -- shared timing helpers ----------------------------------------------------
