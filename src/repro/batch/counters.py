@@ -55,8 +55,8 @@ class LaneCounters(Counters):
             arr[self.active] += amount
 
     def charge_time(self, amount: float) -> None:
-        if amount < 0:
-            raise ConfigError(f"cannot charge negative time {amount}")
+        if not amount >= 0:
+            raise ConfigError(f"cannot charge negative or NaN time {amount}")
         self._add(self.time, amount)
         if self._phase_stack:
             for phase in self._phase_stack:
@@ -66,29 +66,33 @@ class LaneCounters(Counters):
                 self._add(arr, amount)
 
     def charge_flops(self, count: float, time: float) -> None:
-        if count < 0:
-            raise ConfigError(f"cannot charge negative flop count {count}")
-        self._add(self.flops, count)
+        if not count >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN flop count {count}"
+            )
         self.charge_time(time)
+        self._add(self.flops, count)
 
     def charge_transfer(self, elements: float, rounds: int, time: float) -> None:
-        if elements < 0:
+        if not elements >= 0:
             raise ConfigError(
-                f"cannot charge negative transfer volume {elements}"
+                f"cannot charge negative or NaN transfer volume {elements}"
             )
-        if rounds < 0:
-            raise ConfigError(f"cannot charge negative round count {rounds}")
+        if not rounds >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN round count {rounds}"
+            )
+        self.charge_time(time)
         self._add(self.elements_transferred, elements)
         self._add(self.comm_rounds, rounds)
-        self.charge_time(time)
 
     def charge_local(self, elements: float, time: float) -> None:
-        if elements < 0:
+        if not elements >= 0:
             raise ConfigError(
-                f"cannot charge negative local-move count {elements}"
+                f"cannot charge negative or NaN local-move count {elements}"
             )
-        self._add(self.local_moves, elements)
         self.charge_time(time)
+        self._add(self.local_moves, elements)
 
     # -- snapshots -----------------------------------------------------------
 

@@ -527,7 +527,8 @@ class MachineSanitizer:
             d_rounds = after.comm_rounds - before.comm_rounds
             d_time = after.time - before.time
             if (
-                d_elem != stats.element_hops
+                after.elements_transferred
+                != before.elements_transferred + stats.element_hops
                 or d_rounds != stats.rounds
                 or abs(d_time - stats.time)
                 > _time_slack(after.time, stats.time)
@@ -554,7 +555,8 @@ class MachineSanitizer:
         d_rounds = after.comm_rounds - before.comm_rounds
         d_time = after.time - before.time
         if (
-            d_elem != stats.element_hops
+            after.elements_transferred
+            != before.elements_transferred + stats.element_hops
             or d_rounds != stats.rounds
             or abs(d_time - stats.time) > _time_slack(after.time, stats.time)
         ):

@@ -90,33 +90,41 @@ class Counters:
     # -- charging -----------------------------------------------------------
 
     def charge_time(self, amount: float) -> None:
-        if amount < 0:
-            raise ConfigError(f"cannot charge negative time {amount}")
+        if not amount >= 0:
+            raise ConfigError(f"cannot charge negative or NaN time {amount}")
         self.time += amount
         if self._phase_stack:
             for phase in self._phase_stack:
                 self.phase_times[phase] = self.phase_times.get(phase, 0.0) + amount
 
     def charge_flops(self, count: float, time: float) -> None:
-        if count < 0:
-            raise ConfigError(f"cannot charge negative flop count {count}")
-        self.flops += count
+        if not count >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN flop count {count}"
+            )
         self.charge_time(time)
+        self.flops += count
 
     def charge_transfer(self, elements: float, rounds: int, time: float) -> None:
-        if elements < 0:
-            raise ConfigError(f"cannot charge negative transfer volume {elements}")
-        if rounds < 0:
-            raise ConfigError(f"cannot charge negative round count {rounds}")
+        if not elements >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN transfer volume {elements}"
+            )
+        if not rounds >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN round count {rounds}"
+            )
+        self.charge_time(time)
         self.elements_transferred += elements
         self.comm_rounds += rounds
-        self.charge_time(time)
 
     def charge_local(self, elements: float, time: float) -> None:
-        if elements < 0:
-            raise ConfigError(f"cannot charge negative local-move count {elements}")
-        self.local_moves += elements
+        if not elements >= 0:
+            raise ConfigError(
+                f"cannot charge negative or NaN local-move count {elements}"
+            )
         self.charge_time(time)
+        self.local_moves += elements
 
     # -- phases -------------------------------------------------------------
 

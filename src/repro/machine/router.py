@@ -35,6 +35,10 @@ from .pvar import PVar
 #: Shared no-op context for unspanned (untraced or uncharged) simulations.
 _NULL = contextlib.nullcontext()
 
+#: Bound on a message set's total element count: below it every float sum
+#: of integer sizes is exact, whatever the summation order.
+_EXACT_VOLUME = 2.0**53
+
 
 @dataclass(frozen=True)
 class RouteStats:
@@ -76,10 +80,19 @@ class Router:
             Integer arrays of source and destination processor ids, one entry
             per message.
         sizes:
-            Element count of each message.
+            Element count of each message: finite, non-negative integer
+            values (as floats), totalling below ``2**53`` elements.  Anything
+            else raises :class:`ConfigError` before any fault poll, plan
+            lookup or charge.
         charge:
             When false, compute the stats without charging the machine
             (used by the analytic models for what-if questions).
+
+        On a healthy machine every dimension is routed in one pass (see
+        :meth:`_sweep`).  Its per-round hop totals are masked sums over all
+        messages rather than sums of the moving ones alone; because sizes
+        are integer counts with a total below ``2**53``, every partial sum
+        is exact, so both orders give the same floats.
         """
         machine = self.machine
         src = np.asarray(src, dtype=np.int64)
@@ -94,6 +107,16 @@ class Router:
             raise ConfigError("message source out of processor range")
         if dst.size and (dst.min() < 0 or dst.max() >= machine.p):
             raise ConfigError("message destination out of processor range")
+        # A NaN or infinite size makes the total fail the range test.
+        volume = float(sizes.sum())
+        if not 0.0 <= volume < _EXACT_VOLUME or (
+            sizes.size
+            and (sizes.min() < 0 or (np.trunc(sizes) != sizes).any())
+        ):
+            raise ConfigError(
+                "message sizes must be finite, non-negative integer element "
+                f"counts totalling below 2**53, got total {volume}"
+            )
 
         # Fire any fault events due at the current simulated time *before*
         # consulting the plan cache, so a topology change (epoch bump)
@@ -112,7 +135,7 @@ class Router:
                 "route",
                 "route",
                 messages=int(src.size),
-                volume=float(sizes.sum()),
+                volume=volume,
             )
         else:
             span_ctx = None
@@ -162,37 +185,7 @@ class Router:
                     src, dst, sizes, tracer, observe=charge
                 )
             else:
-                cur = src.copy()
-                total_time = 0.0
-                total_hops = 0.0
-                rounds = 0
-                worst = 0.0
-                round_detail = []
-                cm = machine.cost_model
-                for d in range(machine.n):
-                    bit = np.int64(1) << d
-                    moving = ((cur ^ dst) & bit) != 0
-                    if not np.any(moving):
-                        continue
-                    loads = np.bincount(
-                        cur[moving], weights=sizes[moving], minlength=machine.p
-                    )
-                    congestion = float(loads.max())
-                    total_time += cm.tau + cm.t_c * congestion
-                    total_hops += float(sizes[moving].sum())
-                    worst = max(worst, congestion)
-                    rounds += 1
-                    round_detail.append((d, congestion))
-                    if tracer is not None:
-                        tracer.on_route_round(d, loads, congestion)
-                    cur[moving] ^= bit
-                stats = RouteStats(
-                    rounds=rounds,
-                    element_hops=total_hops,
-                    max_congestion=worst,
-                    time=total_time,
-                    dim_congestion=tuple(round_detail),
-                )
+                stats = self._sweep(src, dst, sizes, tracer)
             if cache_key is not None:
                 plans.store(cache_key, stats)
             if charge:
@@ -215,6 +208,62 @@ class Router:
                         from_cache=False,
                     )
             return stats
+
+    def _sweep(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sizes: np.ndarray,
+        tracer: Optional[object],
+    ) -> RouteStats:
+        """E-cube routing on a healthy machine, every dimension in one pass.
+
+        When round ``d`` starts, e-cube has already corrected the bits below
+        ``d``, so message ``i`` sits at ``src ^ (diff & (2**d - 1))`` with
+        ``diff = src ^ dst``, and it moves iff bit ``d`` of ``diff`` is set.
+        The positions of every round that moves anything form one
+        ``(rounds, M)`` array, and one weighted bincount over
+        ``round * p + position`` gives all the link loads.  A message at
+        rest adds ``+0.0`` to its bin, so with sizes ``>= 0`` each bin sums
+        the same sizes in the same order as a per-round bincount of the
+        moving messages alone.
+        """
+        machine = self.machine
+        p = machine.p
+        diff = src ^ dst
+        bits = int(np.bitwise_or.reduce(diff))
+        dims = [d for d in range(machine.n) if bits >> d & 1]
+        if not dims:
+            return RouteStats(
+                rounds=0, element_hops=0.0, max_congestion=0.0, time=0.0
+            )
+        col = np.array(dims, dtype=np.int64)[:, None]
+        moved = diff >> col
+        moved &= 1
+        weights = moved * sizes  # a message's size in the rounds it moves
+        pos = diff & ((np.int64(1) << col) - 1)
+        pos ^= src
+        pos += np.arange(0, len(dims) * p, p, dtype=np.int64)[:, None]
+        loads = np.bincount(
+            pos.ravel(), weights=weights.ravel(), minlength=len(dims) * p
+        ).reshape(len(dims), p)
+        congestion = loads.max(axis=1).tolist()
+        hops = weights.sum(axis=1).tolist()
+        cm = machine.cost_model
+        total_time = 0.0
+        total_hops = 0.0
+        for r, d in enumerate(dims):
+            total_time += cm.tau + cm.t_c * congestion[r]
+            total_hops += hops[r]
+            if tracer is not None:
+                tracer.on_route_round(d, loads[r], congestion[r])
+        return RouteStats(
+            rounds=len(dims),
+            element_hops=total_hops,
+            max_congestion=max(congestion),
+            time=total_time,
+            dim_congestion=tuple(zip(dims, congestion)),
+        )
 
     def _detour_dim(self, node: int, d: int) -> Optional[int]:
         """Lowest dimension ``e`` detouring ``node``'s dead link across ``d``.

@@ -106,7 +106,7 @@ class SparseEmbedding:
         return self._signature
 
     def same_partition(self, other: "SparseEmbedding") -> bool:
-        return (
+        return other is self or (
             other.machine is self.machine
             and other.N == self.N
             and np.array_equal(other.starts, self.starts)

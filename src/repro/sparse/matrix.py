@@ -33,15 +33,26 @@ import numpy as np
 
 from ..errors import ConfigError, EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
+from ..machine.plans import readonly
 from ..machine.router import Router
 from .embedding import SparseEmbedding
 
 
 def _coo_canonical(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: Tuple[int, int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (row, col) and sum duplicate coordinates (COO convention)."""
-    order = np.lexsort((cols, rows))
+    """Sort by (row, col) and sum duplicate coordinates (COO convention).
+
+    A stable sort of the one row-major key ``row * M + col`` gives the
+    permutation of ``np.lexsort((cols, rows))`` in about half the time,
+    equal coordinates keeping their input order; the two-key sort stays
+    for shapes whose keys would overflow int64.
+    """
+    N, M = shape
+    if N * M < 2**63:
+        order = np.argsort(rows * M + cols, kind="stable")
+    else:
+        order = np.lexsort((cols, rows))
     rows, cols, data = rows[order], cols[order], data[order]
     if rows.size:
         fresh = np.concatenate(
@@ -85,6 +96,8 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        self._row_ids: Optional[np.ndarray] = None
+        self._nonzero_ranks: Optional[np.ndarray] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -118,7 +131,7 @@ class SparseMatrix:
             raise ShapeError(f"row index out of range for {N} rows")
         if cols.size and (cols.min() < 0 or cols.max() >= M):
             raise ShapeError(f"column index out of range for {M} columns")
-        rows, cols, data = _coo_canonical(rows, cols, data)
+        rows, cols, data = _coo_canonical(rows, cols, data, (N, M))
         if embedding is None:
             if layout == "nnz":
                 row_nnz = np.bincount(rows, minlength=N)
@@ -178,15 +191,24 @@ class SparseMatrix:
         return np.diff(self.indptr)
 
     def row_ids(self) -> np.ndarray:
-        """The global row of every stored nonzero."""
-        rows = np.arange(self.shape[0], dtype=np.int64)
-        return np.repeat(rows, self.row_nnz())
+        """The global row of every stored nonzero (read-only, built once)."""
+        if self._row_ids is None:
+            rows = np.arange(self.shape[0], dtype=np.int64)
+            self._row_ids = readonly(np.repeat(rows, self.row_nnz()))
+        return self._row_ids
+
+    def nonzero_ranks(self) -> np.ndarray:
+        """The partition rank storing every nonzero (read-only, built once)."""
+        if self._nonzero_ranks is None:
+            ranks = np.arange(self.machine.p, dtype=np.int64)
+            self._nonzero_ranks = readonly(np.repeat(ranks, self.rank_nnz()))
+        return self._nonzero_ranks
 
     # -- host transfer (front-end I/O; not timed) --------------------------
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Host COO triplets, sorted by (row, col)."""
-        return self.row_ids(), self.indices.copy(), self.data.copy()
+        return self.row_ids().copy(), self.indices.copy(), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
         """Densify on the host (zero background)."""

@@ -47,10 +47,33 @@ def _check_fill_is_zero(x: SparseVector, sr: Semiring) -> None:
         )
 
 
-def _nonzero_ranks(A: SparseMatrix) -> np.ndarray:
-    """The partition rank that stores each nonzero of ``A``."""
-    ranks = np.arange(A.machine.p, dtype=np.int64)
-    return np.repeat(ranks, A.rank_nnz())
+def _unique(
+    keys: np.ndarray, return_inverse: bool = False, return_counts: bool = False
+):
+    """``np.unique`` of 1-D integer ``keys``, from one sort.
+
+    Returns what ``np.unique`` returns for the same flags (sorted keys,
+    then the inverse, then the counts) on every NumPy version.  A bare
+    ``np.unique`` takes a hash path on NumPy 2.3+ that is several times
+    slower than sorting the few hundred to few thousand keys one SpMV
+    aggregates.
+    """
+    if return_inverse:
+        order = np.argsort(keys)
+        ordered = keys[order]
+    else:
+        ordered = np.sort(keys)
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    out = (ordered[fresh],)
+    if return_inverse:
+        inverse = np.empty(keys.size, dtype=np.intp)
+        inverse[order] = np.cumsum(fresh) - 1
+        out += (inverse,)
+    if return_counts:
+        out += (np.diff(np.append(np.flatnonzero(fresh), ordered.size)),)
+    return out if len(out) > 1 else out[0]
 
 
 def _route_pairs(
@@ -107,29 +130,29 @@ def spmv(
         xvals = x.values
         present = xvals != x.fill
         x_rank = x.embedding.rank_table()
-        cols = A.indices
-        nz_rank = _nonzero_ranks(A)
-        live = present[cols]
+        live = present[A.indices]
+        cols = A.indices[live]
+        nz_rank = A.nonzero_ranks()[live]
         # Each rank fetches every distinct present x entry its nonzeros
         # reference: one 2-word packet per entry, aggregated per owner.
-        dest, col = np.divmod(np.unique(nz_rank[live] * M + cols[live]), M)
+        dest, col = np.divmod(_unique(nz_rank * M + cols), M)
         owner = x_rank[col]
         remote = owner != dest
-        keys, counts = np.unique(
+        keys, counts = _unique(
             dest[remote] * p + owner[remote], return_counts=True
         )
         _route_pairs(A, x.embedding, keys, 2.0 * counts)
         # Output accumulator init, then mul pass and ⊕-scatter pass.
         machine.charge_local(A.embedding.max_count)
-        max_ops = int(np.bincount(nz_rank[live], minlength=p).max())
+        max_ops = int(np.bincount(nz_rank, minlength=p).max())
         if max_ops:
             machine.charge_flops(max_ops)  # ⊗ of every surviving pair
             machine.charge_flops(max_ops)  # ⊕ accumulation into rows
         y = np.full(N, zero, dtype=out_dtype)
-        if live.any():
+        if cols.size:
             terms = sr.mul(
                 A.data[live].astype(out_dtype, copy=False),
-                xvals[cols[live]].astype(out_dtype, copy=False),
+                xvals[cols].astype(out_dtype, copy=False),
             )
             sr.accumulate_at(y, A.row_ids()[live], terms)
     return SparseVector(machine, A.embedding, y, zero)
@@ -164,13 +187,13 @@ def spgemm(
         b_row_nnz = B.row_nnz()
         b_rank = B.embedding.rank_table()
         a_cols = A.indices
-        nz_rank = _nonzero_ranks(A)
+        nz_rank = A.nonzero_ranks()
         # Each rank fetches every distinct non-empty B row its nonzeros
         # reference: one CSR packet of 2·nnz + 1 words per row.
-        dest, row = np.divmod(np.unique(nz_rank * K + a_cols), K)
+        dest, row = np.divmod(_unique(nz_rank * K + a_cols), K)
         owner = b_rank[row]
         remote = (owner != dest) & (b_row_nnz[row] > 0)
-        keys, inverse = np.unique(
+        keys, inverse = _unique(
             dest[remote] * p + owner[remote], return_inverse=True
         )
         words = np.bincount(

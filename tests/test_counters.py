@@ -1,7 +1,10 @@
 """Unit tests for cycle accounting (S1)."""
 
+import numpy as np
 import pytest
 
+from repro.batch.counters import LaneCounters
+from repro.errors import ConfigError
 from repro.machine import Counters, CostSnapshot
 
 
@@ -195,3 +198,46 @@ class TestSnapshots:
         assert set(d) == {
             "time", "flops", "elements_transferred", "comm_rounds", "local_moves"
         }
+
+
+def _totals(c):
+    """Every cost field and phase time of ``c`` as plain lists."""
+    snap = c.snapshot()
+    fields = [
+        np.asarray(getattr(snap, name)).tolist()
+        for name in ("time", "flops", "elements_transferred", "comm_rounds",
+                     "local_moves")
+    ]
+    phases = {k: np.asarray(v).tolist() for k, v in c.phase_times.items()}
+    return fields, phases
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make", [Counters, lambda: LaneCounters(3)], ids=["scalar", "lanes"]
+)
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("charge_time", (NAN,)),
+        ("charge_flops", (NAN, 1.0)),
+        ("charge_flops", (4, NAN)),
+        ("charge_transfer", (NAN, 1, 1.0)),
+        ("charge_transfer", (4, NAN, 1.0)),
+        ("charge_transfer", (4, 1, NAN)),
+        ("charge_local", (NAN, 1.0)),
+        ("charge_local", (4, NAN)),
+    ],
+)
+def test_nan_charge_rejected_and_counters_untouched(make, method, args):
+    """A NaN amount would turn the simulated clock into NaN for good."""
+    c = make()
+    with c.phase("outer"):
+        c.charge_transfer(8, 1, 3.0)
+        c.charge_flops(2, 1.5)
+        before = _totals(c)
+        with pytest.raises(ConfigError, match="negative or NaN"):
+            getattr(c, method)(*args)
+    assert _totals(c) == before
